@@ -657,6 +657,14 @@ fn client_program(pid: Pid, listener: Listener, request: String) -> Program<Http
 /// under `/persist/home`, netd, the trusted launcher listening, and
 /// `clients` request programs scheduled but not yet run.
 pub fn build_httpd(params: HttpdParams) -> Result<(HttpdWorld, Scheduler<HttpdWorld>)> {
+    build_on(params, SchedConfig::new().seed(params.seed))
+}
+
+/// [`build_httpd`] under an explicit scheduler configuration.
+fn build_on(
+    params: HttpdParams,
+    config: SchedConfig,
+) -> Result<(HttpdWorld, Scheduler<HttpdWorld>)> {
     let mut env = UnixEnv::boot();
     let init = env.init_pid();
     let mut auth = AuthSystem::new();
@@ -708,7 +716,7 @@ pub fn build_httpd(params: HttpdParams) -> Result<(HttpdWorld, Scheduler<HttpdWo
             .enable_flight_recorder(params.recorder_capacity);
     }
 
-    let mut sched: Scheduler<HttpdWorld> = Scheduler::new(SchedConfig::new().seed(params.seed));
+    let mut sched: Scheduler<HttpdWorld> = Scheduler::new(config);
     let launcher_thread = env.process(launcher)?.thread;
     sched.spawn(launcher_thread, launcher_program(launcher, listener.fd));
 
@@ -767,7 +775,12 @@ fn percentile(sorted: &[u64], q: f64) -> SimDuration {
 /// parked launcher (the external-wake path: a parked thread is still
 /// reachable), which hangs up the job pipes so the workers retire.
 pub fn run_httpd(params: HttpdParams) -> Result<(HttpdWorld, HttpdReport)> {
-    let (mut world, mut sched) = build_httpd(params)?;
+    run_on(params, SchedConfig::new().seed(params.seed))
+}
+
+/// [`run_httpd`] under an explicit scheduler configuration.
+fn run_on(params: HttpdParams, config: SchedConfig) -> Result<(HttpdWorld, HttpdReport)> {
+    let (mut world, mut sched) = build_on(params, config)?;
     let kernel_before = world.env.machine().kernel().stats();
     let dispatch_before = world.env.machine().kernel().dispatch_stats();
     let start = world.env.machine().kernel().now();
@@ -833,6 +846,36 @@ pub fn run_httpd(params: HttpdParams) -> Result<(HttpdWorld, HttpdReport)> {
 mod tests {
     use super::*;
     use histar_kernel::TraceRecord;
+
+    /// FNV-1a over every audit record's `(seq, tick, tid, syscall, ok)`
+    /// and the per-syscall dispatch counters.
+    fn audit_digest(kernel: &Kernel) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for r in kernel.syscall_trace().expect("tracing enabled").records() {
+            eat(&r.seq.to_le_bytes());
+            eat(&r.tick.to_le_bytes());
+            eat(&r.tid.raw().to_le_bytes());
+            eat(r.syscall.as_bytes());
+            eat(&[u8::from(r.ok)]);
+        }
+        let stats = kernel.dispatch_stats();
+        for n in stats.invocations.iter().chain(stats.errors.iter()) {
+            eat(&n.to_le_bytes());
+        }
+        h
+    }
+
+    /// Audit-trace digests of the seed-42 burst at one and four shards,
+    /// committed from the code as it stood before the syscall table was
+    /// generated: the trapped stream must stay byte-identical across
+    /// refactors.
+    const GOLDEN: [(usize, u64); 2] = [(1, 18094579843698159164), (4, 12574589261950585337)];
 
     #[test]
     fn serves_every_client_its_own_users_page() {
@@ -938,5 +981,17 @@ mod tests {
             .collect();
         assert!(!t1.is_empty());
         assert_eq!(t1, t2, "same seed must replay the identical syscall stream");
+
+        for (shards, golden) in GOLDEN {
+            let (world, _) =
+                run_on(params, SchedConfig::new().seed(params.seed).shards(shards)).unwrap();
+            let kernel = world.env.machine().kernel();
+            assert_eq!(kernel.dispatch_stats().trace_dropped, 0);
+            assert_eq!(
+                audit_digest(kernel),
+                golden,
+                "shards={shards}: audit trace drifted from the committed digest"
+            );
+        }
     }
 }

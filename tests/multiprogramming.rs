@@ -5,7 +5,7 @@
 use histar::apps::multilogin::{run_multilogin, MultiLoginParams};
 use histar::auth::LoginOutcome;
 use histar::kernel::sched::StopReason;
-use histar::kernel::TraceRecord;
+use histar::kernel::{Kernel, TraceRecord};
 
 fn trace_of(world: &histar::apps::multilogin::LoginWorld) -> Vec<TraceRecord> {
     world
@@ -19,13 +19,51 @@ fn trace_of(world: &histar::apps::multilogin::LoginWorld) -> Vec<TraceRecord> {
         .collect()
 }
 
+/// FNV-1a over every audit record's `(seq, tick, tid, syscall, ok)` and
+/// the per-syscall dispatch counters.  The digest pins the whole trapped
+/// stream, so a change that moves one charge or one call shows up against
+/// the committed constants.
+fn audit_digest(kernel: &Kernel) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for r in kernel.syscall_trace().expect("tracing enabled").records() {
+        eat(&r.seq.to_le_bytes());
+        eat(&r.tick.to_le_bytes());
+        eat(&r.tid.raw().to_le_bytes());
+        eat(r.syscall.as_bytes());
+        eat(&[u8::from(r.ok)]);
+    }
+    let stats = kernel.dispatch_stats();
+    for n in stats.invocations.iter().chain(stats.errors.iter()) {
+        eat(&n.to_le_bytes());
+    }
+    h
+}
+
 #[test]
 fn hundred_interleaved_logins_replay_identically() {
+    for (shards, golden) in [(1usize, GOLDEN_SHARDS_1), (4, GOLDEN_SHARDS_4)] {
+        hundred_logins_at(shards, golden);
+    }
+}
+
+/// Audit-trace digests of the seed-`0xfeed` login run, committed from the
+/// code as it stood before the syscall table was generated: the trapped
+/// stream must stay byte-identical across refactors.
+const GOLDEN_SHARDS_1: u64 = 6640857815070766345;
+const GOLDEN_SHARDS_4: u64 = 5645947317814302066;
+
+fn hundred_logins_at(shards: usize, golden: u64) {
     let params = MultiLoginParams {
         processes: 100,
         users: 10,
         seed: 0xfeed,
-        shards: histar::kernel::sched::DEFAULT_SHARDS,
+        shards,
         wrong_every: 9,
         trace_capacity: 1 << 20,
         recorder_capacity: 0,
@@ -60,6 +98,14 @@ fn hundred_interleaved_logins_replay_identically() {
     let (t1, t2) = (trace_of(&w1), trace_of(&w2));
     assert!(!t1.is_empty());
     assert_eq!(t1, t2);
+
+    let kernel = w1.env.machine().kernel();
+    assert_eq!(kernel.dispatch_stats().trace_dropped, 0);
+    assert_eq!(
+        audit_digest(kernel),
+        golden,
+        "shards={shards}: audit trace drifted from the committed digest"
+    );
 }
 
 /// The sharded run queues keep the determinism contract at every width:
