@@ -246,8 +246,9 @@ pub fn histar_lfs_large(file_size: u64, chunk: u64) -> LfsLargeResult {
     }
 }
 
-/// Scale factors used by the default `fig12` binary so it completes in
-/// seconds of wall-clock time; EXPERIMENTS.md records them.
+/// Scale factors for the `fig12` run; the default scales the paper's
+/// workloads down so the binary finishes in a fraction of the paper-scale
+/// time.
 #[derive(Clone, Copy, Debug)]
 pub struct Fig12Params {
     /// Pipe round trips (paper: 1,000,000).

@@ -29,8 +29,8 @@
 //!   paper-vs-measured comparisons, and emitting machine-readable
 //!   `BENCH_<name>.json` files for CI.
 //!
-//! Absolute numbers are *simulated* time; EXPERIMENTS.md discusses how the
-//! shapes compare against the paper's measurements on real hardware.
+//! Absolute numbers are *simulated* time; the figure tables print the
+//! paper's value next to each simulated cell where the paper reports one.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

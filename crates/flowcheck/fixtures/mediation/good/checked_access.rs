@@ -1,9 +1,10 @@
 //! Must pass: the canonical shape — label check dominates the access.
-impl Kernel {
-    fn dispatch_inner(&mut self, tid: ObjectId, call: Syscall) -> R {
-        self.sys_read(tid, entry)
-    }
+syscalls! {
+    /// Reads an object's size.
+    Read { entry: ContainerEntry } => sys_read, trap_read -> U64(u64);
+}
 
+impl Kernel {
     fn sys_read(&mut self, tid: ObjectId, entry: ContainerEntry) -> R {
         let (tl, _) = self.calling_thread(tid)?;
         self.check_entry(&tl, entry)?;

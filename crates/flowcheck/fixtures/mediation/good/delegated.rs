@@ -1,12 +1,12 @@
 //! Must pass: an alias syscall that delegates to a mediated one.
-impl Kernel {
-    fn dispatch_inner(&mut self, tid: ObjectId, call: Syscall) -> R {
-        match call {
-            Syscall::Read { entry } => self.sys_read(tid, entry),
-            Syscall::ReadAlias { entry } => self.sys_read_alias(tid, entry),
-        }
-    }
+syscalls! {
+    /// Reads an object's size.
+    Read { entry: ContainerEntry } => sys_read, trap_read -> U64(u64);
+    /// Same as `Read`, under another name.
+    ReadAlias { entry: ContainerEntry } => sys_read_alias, trap_read_alias -> U64(u64);
+}
 
+impl Kernel {
     fn sys_read_alias(&mut self, tid: ObjectId, entry: ContainerEntry) -> R {
         self.sys_read(tid, entry)
     }

@@ -1,9 +1,10 @@
 //! Rule 1 — mediation: every syscall reaching object state is dominated
 //! by a label check.
 //!
-//! The engine walks `dispatch_inner` (the single choke point every
-//! `Kernel::dispatch` / batched-ABI call funnels through), collects the
-//! `self.sys_*` targets of its match arms plus the batched handle ops
+//! The engine reads the `syscalls! { … }` table (the one place the ABI is
+//! written down; the macro generates `dispatch_inner`, the single choke
+//! point every `Kernel::dispatch` / batched-ABI call funnels through),
+//! collects each row's `sys_*` target plus the batched handle ops
 //! (`handle_open` / `handle_close` from `dispatch_batch_collect`), and
 //! analyzes each target body as a token stream:
 //!
@@ -33,9 +34,9 @@
 //! access and *no* check is check-free and must carry a marker too —
 //! that's the auditable TCB list. Delegation (`self.sys_x` calling
 //! `self.sys_y`) inherits the delegate's verdict. The engine also
-//! verifies completeness (every name in `SYSCALL_NAMES` has a
-//! `self.sys_<name>` call in `dispatch_inner`; no inline state access in
-//! the dispatcher itself) and sanity-checks the trusted check helpers
+//! verifies completeness (every table row routes to a `sys_*` body; no
+//! inline state access in the generated `dispatch_inner` template) and
+//! sanity-checks the trusted check helpers
 //! (each `check_*` must contain an actual label comparison: `leq`,
 //! `leq_high_rhs`, `leq_high_both`, or `count_label_check`).
 
@@ -107,51 +108,62 @@ struct BodyScan {
     delegates: Vec<String>,
 }
 
+/// One row of the `syscalls!` table: the variant it declares and the
+/// method its dispatch arm calls (`None` if the row names none).
+struct TableRow {
+    variant: String,
+    target: Option<String>,
+    line: u32,
+}
+
 /// Analysis entry: runs the mediation rule over the given files and
 /// appends findings/exemptions.
 pub fn run(files: &[SourceFile], findings: &mut Vec<Finding>, exemptions: &mut Vec<Exemption>) {
-    // Locate dispatch_inner and the batched-path handle ops.
-    let mut entry_points: BTreeSet<String> = BTreeSet::new();
-    let mut dispatch_file: Option<(&SourceFile, usize, usize)> = None;
-
-    for f in files {
-        if let Some(item) = f.find_fn("dispatch_inner") {
-            dispatch_file = Some((f, item.body_open, item.body_close));
-        }
-    }
-
-    let Some((df, dopen, dclose)) = dispatch_file else {
+    let Some((tf, rows)) = files
+        .iter()
+        .find_map(|f| table_rows(f).map(|rows| (f, rows)))
+    else {
         findings.push(Finding {
             rule: "mediation",
             file: files.first().map(|f| f.path.clone()).unwrap_or_default(),
             line: 0,
-            message: "no `dispatch_inner` found: the syscall choke point is missing".into(),
+            message: "no `syscalls!` table found: the syscall choke point is missing".into(),
         });
         return;
     };
 
-    // Collect `self . sys_* (` targets from dispatch_inner, and flag any
-    // inline state access in the dispatcher itself (arms must delegate).
-    for i in dopen..dclose {
-        let t = &df.tokens[i];
-        if t.text.starts_with("sys_")
-            && i >= 2
-            && matches_seq(&df.tokens, i - 2, &["self", "."])
-            && df.tokens.get(i + 1).map(|t| t.text.as_str()) == Some("(")
-        {
-            entry_points.insert(t.text.clone());
+    // Entry points and completeness come from the table: every row must
+    // route its syscall to a `sys_*` body, and every target is analyzed.
+    let mut entry_points: BTreeSet<String> = BTreeSet::new();
+    for row in rows {
+        match &row.target {
+            Some(t) if t.starts_with("sys_") => {}
+            _ => findings.push(Finding {
+                rule: "mediation",
+                file: tf.path.clone(),
+                line: row.line,
+                message: format!(
+                    "syscall `{}` is in the syscalls! table but its row routes to no sys_* method",
+                    row.variant
+                ),
+            }),
         }
+        entry_points.extend(row.target);
     }
-    if let Some((idx, line, what)) = first_state_access(df, dopen, dclose) {
-        let _ = idx;
-        findings.push(Finding {
-            rule: "mediation",
-            file: df.path.clone(),
-            line,
-            message: format!(
-                "dispatch arm accesses `{what}` inline; arms must delegate to a sys_* method"
-            ),
-        });
+
+    // Dispatcher hygiene: the generated dispatch arms must delegate, never
+    // touch state inline.
+    if let Some((df, item)) = find_method(files, "dispatch_inner") {
+        if let Some((line, what)) = first_state_access(df, item.body_open, item.body_close) {
+            findings.push(Finding {
+                rule: "mediation",
+                file: df.path.clone(),
+                line,
+                message: format!(
+                    "dispatch arm accesses `{what}` inline; arms must delegate to a sys_* method"
+                ),
+            });
+        }
     }
 
     // Batched ABI path: handle ops invoked from dispatch_batch_collect
@@ -176,23 +188,6 @@ pub fn run(files: &[SourceFile], findings: &mut Vec<Finding>, exemptions: &mut V
         }
     }
 
-    // Completeness: every SYSCALL_NAMES entry must have a sys_ call.
-    if let Some(names) = syscall_names(df) {
-        for name in names {
-            let want = format!("sys_{name}");
-            if !entry_points.contains(&want) {
-                findings.push(Finding {
-                    rule: "mediation",
-                    file: df.path.clone(),
-                    line: 0,
-                    message: format!(
-                        "syscall `{name}` is in SYSCALL_NAMES but dispatch_inner never calls `{want}`"
-                    ),
-                });
-            }
-        }
-    }
-
     // Analyze every entry point (plus transitive delegates).
     let mut verdicts: BTreeMap<String, ()> = BTreeMap::new();
     let mut queue: Vec<String> = entry_points.iter().cloned().collect();
@@ -204,7 +199,7 @@ pub fn run(files: &[SourceFile], findings: &mut Vec<Finding>, exemptions: &mut V
         let Some((f, item)) = find_method(files, &name) else {
             findings.push(Finding {
                 rule: "mediation",
-                file: df.path.clone(),
+                file: tf.path.clone(),
                 line: 0,
                 message: format!(
                     "dispatch target `{name}` has no definition in the analyzed files"
@@ -407,7 +402,7 @@ fn next_is(toks: &[crate::lex::Token], i: usize, text: &str) -> bool {
 
 /// First inline state access in a token range that is *not* part of a
 /// `self.sys_*` / `self.handle_*` call chain (dispatcher hygiene).
-fn first_state_access(f: &SourceFile, open: usize, close: usize) -> Option<(usize, u32, String)> {
+fn first_state_access(f: &SourceFile, open: usize, close: usize) -> Option<(u32, String)> {
     let toks = &f.tokens;
     for i in open..close {
         let t = &toks[i].text;
@@ -415,12 +410,12 @@ fn first_state_access(f: &SourceFile, open: usize, close: usize) -> Option<(usiz
             continue;
         }
         if STATE_FIELDS.contains(&t.as_str()) || t == "store" {
-            return Some((i, toks[i].line, format!("self.{t}")));
+            return Some((toks[i].line, format!("self.{t}")));
         }
         if ACCESSORS.contains(&t.as_str()) && next_is(toks, i, "(") {
             let first_arg = toks.get(i + 2).map(|t| t.text.as_str());
             if first_arg != Some("tid") {
-                return Some((i, toks[i].line, format!("self.{t}()")));
+                return Some((toks[i].line, format!("self.{t}()")));
             }
         }
     }
@@ -440,65 +435,75 @@ fn find_method<'a>(
     None
 }
 
-/// Parses `pub const SYSCALL_NAMES: … = [ "a", "b", … ];` if present.
-/// String literals are stripped by the lexer, so read them straight from
-/// the source line span instead — the model keeps tokens only. To keep
-/// the lexer simple, SYSCALL_NAMES completeness instead uses the enum:
-/// `pub enum Syscall { VariantA { … }, VariantB, … }` and maps each
-/// variant to its snake_case syscall name.
-fn syscall_names(f: &SourceFile) -> Option<Vec<String>> {
+/// Reads the rows of a `syscalls! { … }` invocation (not the
+/// `macro_rules! syscalls` definition), if the file has one.  A row runs
+/// to the next top-level `;`: its first top-level identifier is the
+/// variant and the identifier after `=>` is the dispatch target.  Doc
+/// comments are stripped by the lexer and field lists sit inside braces,
+/// so neither is mistaken for either.
+fn table_rows(f: &SourceFile) -> Option<Vec<TableRow>> {
     let toks = &f.tokens;
-    let mut i = 0;
-    while i + 2 < toks.len() {
-        if toks[i].text == "enum" && toks[i + 1].text == "Syscall" {
-            // find `{`
-            let mut j = i + 2;
-            while j < toks.len() && toks[j].text != "{" {
-                j += 1;
-            }
-            if j >= toks.len() {
-                return None;
-            }
-            let close = crate::model::match_brace(toks, j);
-            let mut names = Vec::new();
-            let mut k = j + 1;
-            let mut depth = 0i32;
-            let mut expect_variant = true;
-            while k < close {
-                match toks[k].text.as_str() {
-                    "{" | "(" => depth += 1,
-                    "}" | ")" => depth -= 1,
-                    "," if depth == 0 => expect_variant = true,
-                    "#" | "[" | "]" => {}
-                    s if depth == 0
-                        && expect_variant
-                        && s.chars().next().is_some_and(|c| c.is_ascii_uppercase()) =>
-                    {
-                        names.push(to_snake(s));
-                        expect_variant = false;
+    let open = (0..toks.len()).find(|&i| {
+        matches_seq(toks, i, &["syscalls", "!", "{"]) && (i == 0 || toks[i - 1].text != "!")
+    })? + 2;
+    let close = crate::model::match_brace(toks, open);
+    let mut rows = Vec::new();
+    let mut row: Option<TableRow> = None;
+    let mut depth = 0i32;
+    let mut k = open + 1;
+    while k < close {
+        let t = toks[k].text.as_str();
+        match t {
+            "{" | "(" | "[" => depth += 1,
+            "}" | ")" | "]" => depth -= 1,
+            ";" if depth == 0 => rows.extend(row.take()),
+            "=" if depth == 0 && next_is(toks, k, ">") => {
+                let target = toks.get(k + 2).map(|t| t.text.as_str());
+                if let (Some(r), Some(name)) = (row.as_mut(), target) {
+                    if name.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_') {
+                        r.target = Some(name.to_string());
                     }
-                    _ => {}
                 }
-                k += 1;
             }
-            return Some(names);
+            _ if depth == 0 && row.is_none() && t.starts_with(|c: char| c.is_ascii_uppercase()) => {
+                row = Some(TableRow {
+                    variant: t.to_string(),
+                    target: None,
+                    line: toks[k].line,
+                });
+            }
+            _ => {}
         }
-        i += 1;
+        k += 1;
     }
-    None
+    Some(rows)
 }
 
-fn to_snake(name: &str) -> String {
-    let mut out = String::new();
-    for (i, c) in name.chars().enumerate() {
-        if c.is_ascii_uppercase() {
-            if i > 0 {
-                out.push('_');
-            }
-            out.push(c.to_ascii_lowercase());
-        } else {
-            out.push(c);
-        }
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn table_rows_skip_the_macro_definition_and_read_each_row() {
+        let src = "syscalls! {\n\
+                   Ping => sys_ping, trap_ping -> Unit(());\n\
+                   Read { entry: ContainerEntry, len: Option<u64> } => sys_read, trap_read -> Bytes(Vec<u8>);\n\
+                   Orphan { id: ObjectId } => , trap_orphan -> Unit(());\n\
+                   }\n\
+                   macro_rules! syscalls { ($($t:tt)*) => {}; }";
+        let f = SourceFile::parse("t.rs", src);
+        let rows = table_rows(&f).expect("table found");
+        let got: Vec<(&str, Option<&str>)> = rows
+            .iter()
+            .map(|r| (r.variant.as_str(), r.target.as_deref()))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                ("Ping", Some("sys_ping")),
+                ("Read", Some("sys_read")),
+                ("Orphan", None)
+            ]
+        );
     }
-    out
 }

@@ -9,16 +9,22 @@
 //! value is decoded and executed.  Dispatch charges the call's CPU cost
 //! (via the underlying `sys_*` implementation), maintains per-syscall
 //! counters in [`DispatchStats`], and — when tracing is enabled — appends a
-//! [`TraceRecord`] to a bounded ring buffer, giving the machine a
-//! replayable `(tick, thread, syscall, result)` audit stream.
+//! [`TraceRecord`] to a bounded ring buffer, giving the machine an
+//! auditable `(tick, thread, syscall, ok)` stream.
+//!
+//! The ABI is written down once, in the `syscalls!` table below: one row
+//! per syscall names its [`Syscall`] variant and typed fields, the
+//! `sys_*` body that implements it, its `trap_*` wrapper and its
+//! [`SyscallResult`] variant.  Everything else — the enum, the name list,
+//! the dispatch match and the wrappers — is generated from the rows.
 //!
 //! The `trap_*` methods are the user-level calling convention: thin typed
 //! wrappers that build the [`Syscall`] value, trap through
-//! [`Kernel::dispatch`], and unwrap the typed [`SyscallResult`].  All
-//! library layers (`histar-unix`, `histar-auth`, `histar-apps`,
-//! `histar-net`, `histar-exporter`) use these instead of calling the
-//! `sys_*` methods directly, so the whole system's kernel interaction is
-//! visible in one stream.
+//! [`Kernel::dispatch`], and unwrap the typed [`SyscallResult`].  The
+//! `sys_*` bodies are crate-private, so every library layer
+//! (`histar-unix`, `histar-auth`, `histar-apps`, `histar-net`,
+//! `histar-exporter`) reaches the kernel through dispatch and the whole
+//! system's kernel interaction is visible in one stream.
 
 use crate::abi::{Completion, CompletionKind, SqEntry, SqOp, SubmissionQueue};
 use crate::bodies::{Alert, Mapping};
@@ -29,29 +35,195 @@ use histar_label::{Category, Label};
 use histar_obs::{Histogram, Span};
 use std::collections::VecDeque;
 
-/// One system call with its arguments — what a real thread would place in
-/// registers before trapping.
+/// Generates the syscall ABI from one table.  Each row reads
 ///
-/// Every variant corresponds 1:1 to a `sys_*` method on [`Kernel`]; the
-/// calling thread is supplied separately to [`Kernel::dispatch`].
-#[derive(Clone, Debug, PartialEq)]
-pub enum Syscall {
+/// ```text
+/// /// docs
+/// Variant { /// docs
+///           field: Type [as WrapperParam], … }
+///     => sys_body, trap_wrapper -> ResultVariant(Output);
+/// ```
+///
+/// and yields a [`Syscall`] variant with those fields, an entry in
+/// [`SYSCALL_NAMES`] (the body's name without `sys_`), an arm of
+/// `dispatch_inner` calling `self.sys_body(tid, field, …)` and wrapping
+/// its `Output` into `SyscallResult::ResultVariant`, and the public
+/// `trap_wrapper(tid, field, …) -> Result<Output, SyscallError>`.  A
+/// wrapper takes each field as its own type, or as `WrapperParam` when
+/// given, converted with `Into`.  Unit variants omit the braces.
+macro_rules! syscalls {
+    (@param $ty:ty as $param:ty) => { $param };
+    (@param $ty:ty) => { $ty };
+    (@wrap Unit) => { |()| SyscallResult::Unit };
+    (@wrap Info) => {
+        |(object_type, descrip, quota)| SyscallResult::Info { object_type, descrip, quota }
+    };
+    (@wrap $res:ident) => { SyscallResult::$res };
+    (@unwrap Unit, $result:expr) => {
+        match $result {
+            SyscallResult::Unit => (),
+            other => result_mismatch(other),
+        }
+    };
+    (@unwrap Info, $result:expr) => {
+        match $result {
+            SyscallResult::Info { object_type, descrip, quota } => (object_type, descrip, quota),
+            other => result_mismatch(other),
+        }
+    };
+    (@unwrap $res:ident, $result:expr) => {
+        match $result {
+            SyscallResult::$res(value) => value,
+            other => result_mismatch(other),
+        }
+    };
+    ($(
+        $(#[$doc:meta])*
+        $variant:ident $({ $($(#[$fdoc:meta])* $field:ident: $ty:ty $(as $param:ty)?),* $(,)? })?
+            => $sys:ident, $trap:ident -> $res:ident($out:ty);
+    )*) => {
+        /// One system call with its arguments — what a real thread would place in
+        /// registers before trapping.
+        ///
+        /// Every variant corresponds 1:1 to a `sys_*` method on [`Kernel`]; the
+        /// calling thread is supplied separately to [`Kernel::dispatch`].
+        #[derive(Clone, Debug, PartialEq)]
+        pub enum Syscall {
+            $($(#[$doc])* $variant $({ $($(#[$fdoc])* $field: $ty),* })?,)*
+        }
+
+        /// Number of distinct system calls in the ABI.
+        pub const SYSCALL_COUNT: usize = [$(stringify!($sys)),*].len();
+
+        /// The names of all system calls, indexed by [`Syscall::index`].
+        pub const SYSCALL_NAMES: [&str; SYSCALL_COUNT] = [$(stringify!($sys).split_at(4).1),*];
+
+        impl Syscall {
+            /// The call's index into [`SYSCALL_NAMES`] and the per-syscall stats.
+            pub fn index(&self) -> usize {
+                enum Index { $($variant),* }
+                match self {
+                    $(Syscall::$variant { .. } => Index::$variant as usize,)*
+                }
+            }
+
+            /// The call's name (stable, used in traces and stats dumps).
+            pub fn name(&self) -> &'static str {
+                SYSCALL_NAMES[self.index()]
+            }
+
+            /// Applies `visit` to every container-entry argument, in field
+            /// order, stopping at the first error.
+            fn visit_entries(&mut self, visit: &mut EntryVisitor<'_>) -> Result<(), SyscallError> {
+                match self {
+                    $(Syscall::$variant { $($($field),*)? } => {
+                        $($(EntryArgs::visit($field, visit)?;)*)?
+                    })*
+                }
+                Ok(())
+            }
+        }
+
+        impl Kernel {
+            fn dispatch_inner(
+                &mut self,
+                tid: ObjectId,
+                call: Syscall,
+            ) -> Result<SyscallResult, SyscallError> {
+                match call {
+                    $(Syscall::$variant { $($($field),*)? } => {
+                        self.$sys(tid $($(, $field)*)?).map(syscalls!(@wrap $res))
+                    })*
+                }
+            }
+        }
+
+        /// The `trap_*` calling convention: typed wrappers over
+        /// [`Kernel::dispatch`].  Each call crosses the dispatch boundary,
+        /// so it is counted and traced.
+        #[allow(clippy::too_many_arguments)]
+        impl Kernel {
+            $(
+                #[doc = concat!("Traps `", stringify!($sys), "`.")]
+                pub fn $trap(
+                    &mut self,
+                    tid: ObjectId
+                    $($(, $field: syscalls!(@param $ty $(as $param)?))*)?
+                ) -> Result<$out, SyscallError> {
+                    let call = Syscall::$variant { $($($field: $field.into()),*)? };
+                    Ok(syscalls!(@unwrap $res, self.dispatch(tid, call)?))
+                }
+            )*
+        }
+    };
+}
+
+/// A dispatch result whose variant does not match its call's table row.
+fn result_mismatch(result: SyscallResult) -> ! {
+    unreachable!("dispatch result variant mismatch: {result:?}")
+}
+
+/// Visitor over a call's container-entry arguments.
+type EntryVisitor<'a> = dyn FnMut(&mut ContainerEntry) -> Result<(), SyscallError> + 'a;
+
+/// Syscall argument types, by the container entries they carry: those
+/// entries may be handle-encoded, and dispatch resolves them before the
+/// `sys_*` body runs.
+trait EntryArgs {
+    fn visit(&mut self, _visit: &mut EntryVisitor<'_>) -> Result<(), SyscallError> {
+        Ok(())
+    }
+}
+
+impl EntryArgs for ContainerEntry {
+    fn visit(&mut self, visit: &mut EntryVisitor<'_>) -> Result<(), SyscallError> {
+        visit(self)
+    }
+}
+
+impl EntryArgs for Option<ContainerEntry> {
+    fn visit(&mut self, visit: &mut EntryVisitor<'_>) -> Result<(), SyscallError> {
+        self.as_mut().map_or(Ok(()), visit)
+    }
+}
+
+impl EntryArgs for Mapping {
+    fn visit(&mut self, visit: &mut EntryVisitor<'_>) -> Result<(), SyscallError> {
+        visit(&mut self.segment)
+    }
+}
+
+impl EntryArgs for bool {}
+impl EntryArgs for u8 {}
+impl EntryArgs for u64 {}
+impl EntryArgs for i64 {}
+impl EntryArgs for [u8; METADATA_LEN] {}
+impl EntryArgs for Vec<u8> {}
+impl EntryArgs for Vec<u64> {}
+impl EntryArgs for String {}
+impl EntryArgs for ObjectId {}
+impl EntryArgs for Category {}
+impl EntryArgs for Label {}
+impl EntryArgs for Option<Label> {}
+impl EntryArgs for RemoteCategoryName {}
+
+syscalls! {
     /// `sys_create_category`.
-    CreateCategory,
+    CreateCategory => sys_create_category, trap_create_category -> Category(Category);
     /// `sys_self_set_label`.
     SelfSetLabel {
         /// The requested new thread label.
         label: Label,
-    },
+    } => sys_self_set_label, trap_self_set_label -> Unit(());
     /// `sys_self_set_clearance`.
     SelfSetClearance {
         /// The requested new clearance.
         clearance: Label,
-    },
+    } => sys_self_set_clearance, trap_self_set_clearance -> Unit(());
     /// `sys_self_get_label`.
-    SelfGetLabel,
+    SelfGetLabel => sys_self_get_label, trap_self_get_label -> Label(Label);
     /// `sys_self_get_clearance`.
-    SelfGetClearance,
+    SelfGetClearance => sys_self_get_clearance, trap_self_get_clearance -> Label(Label);
     /// `sys_container_create`.
     ContainerCreate {
         /// Parent container.
@@ -59,39 +231,39 @@ pub enum Syscall {
         /// Label of the new container.
         label: Label,
         /// Descriptive string.
-        descrip: String,
+        descrip: String as &str,
         /// Object-type mask forbidden under the new container.
         avoid_types: u8,
         /// Quota charged to the parent.
         quota: u64,
-    },
+    } => sys_container_create, trap_container_create -> ObjectId(ObjectId);
     /// `sys_obj_unref`.
     ObjUnref {
         /// The container entry to unlink.
         entry: ContainerEntry,
-    },
+    } => sys_obj_unref, trap_obj_unref -> Unit(());
     /// `sys_hard_link`.
     HardLink {
         /// Source container entry.
         entry: ContainerEntry,
         /// Destination container.
         dst: ObjectId,
-    },
+    } => sys_hard_link, trap_hard_link -> Unit(());
     /// `sys_container_quota_avail`.
     ContainerQuotaAvail {
         /// The container to query.
         container: ObjectId,
-    },
+    } => sys_container_quota_avail, trap_container_quota_avail -> U64(u64);
     /// `sys_container_get_parent`.
     ContainerGetParent {
         /// The container to query.
         container: ObjectId,
-    },
+    } => sys_container_get_parent, trap_container_get_parent -> ObjectId(ObjectId);
     /// `sys_container_list`.
     ContainerList {
         /// The container to list.
         container: ObjectId,
-    },
+    } => sys_container_list, trap_container_list -> ObjectIds(Vec<ObjectId>);
     /// `sys_quota_move`.
     QuotaMove {
         /// The container quota moves out of (or back into).
@@ -100,39 +272,39 @@ pub enum Syscall {
         object: ObjectId,
         /// Bytes to move (negative moves quota back to the container).
         delta: i64,
-    },
+    } => sys_quota_move, trap_quota_move -> Unit(());
     /// `sys_obj_get_label`.
     ObjGetLabel {
         /// The object, named through a container entry.
         entry: ContainerEntry,
-    },
+    } => sys_obj_get_label, trap_obj_get_label -> Label(Label);
     /// `sys_obj_get_info`.
     ObjGetInfo {
         /// The object, named through a container entry.
         entry: ContainerEntry,
-    },
+    } => sys_obj_get_info, trap_obj_get_info -> Info((ObjectType, String, u64));
     /// `sys_obj_get_metadata`.
     ObjGetMetadata {
         /// The object, named through a container entry.
         entry: ContainerEntry,
-    },
+    } => sys_obj_get_metadata, trap_obj_get_metadata -> Metadata([u8; METADATA_LEN]);
     /// `sys_obj_set_metadata`.
     ObjSetMetadata {
         /// The object, named through a container entry.
         entry: ContainerEntry,
         /// The new 64-byte metadata area.
         metadata: [u8; METADATA_LEN],
-    },
+    } => sys_obj_set_metadata, trap_obj_set_metadata -> Unit(());
     /// `sys_obj_set_immutable`.
     ObjSetImmutable {
         /// The object, named through a container entry.
         entry: ContainerEntry,
-    },
+    } => sys_obj_set_immutable, trap_obj_set_immutable -> Unit(());
     /// `sys_obj_set_fixed_quota`.
     ObjSetFixedQuota {
         /// The object, named through a container entry.
         entry: ContainerEntry,
-    },
+    } => sys_obj_set_fixed_quota, trap_obj_set_fixed_quota -> Unit(());
     /// `sys_segment_create`.
     SegmentCreate {
         /// The container the segment is created in.
@@ -142,15 +314,15 @@ pub enum Syscall {
         /// Initial length in bytes.
         len: u64,
         /// Descriptive string.
-        descrip: String,
-    },
+        descrip: String as &str,
+    } => sys_segment_create, trap_segment_create -> ObjectId(ObjectId);
     /// `sys_segment_resize`.
     SegmentResize {
         /// The segment, named through a container entry.
         entry: ContainerEntry,
         /// The new length.
         len: u64,
-    },
+    } => sys_segment_resize, trap_segment_resize -> Unit(());
     /// `sys_segment_read`.
     SegmentRead {
         /// The segment, named through a container entry.
@@ -159,7 +331,7 @@ pub enum Syscall {
         offset: u64,
         /// Bytes to read.
         len: u64,
-    },
+    } => sys_segment_read, trap_segment_read -> Bytes(Vec<u8>);
     /// `sys_segment_write`.
     SegmentWrite {
         /// The segment, named through a container entry.
@@ -167,13 +339,13 @@ pub enum Syscall {
         /// Byte offset of the write.
         offset: u64,
         /// The bytes to write.
-        data: Vec<u8>,
-    },
+        data: Vec<u8> as &[u8],
+    } => sys_segment_write, trap_segment_write -> Unit(());
     /// `sys_segment_len`.
     SegmentLen {
         /// The segment, named through a container entry.
         entry: ContainerEntry,
-    },
+    } => sys_segment_len, trap_segment_len -> U64(u64);
     /// `sys_segment_copy`.
     SegmentCopy {
         /// Source segment.
@@ -183,8 +355,8 @@ pub enum Syscall {
         /// Label of the copy.
         label: Label,
         /// Descriptive string.
-        descrip: String,
-    },
+        descrip: String as &str,
+    } => sys_segment_copy, trap_segment_copy -> ObjectId(ObjectId);
     /// `sys_as_create`.
     AsCreate {
         /// The container the address space is created in.
@@ -192,8 +364,8 @@ pub enum Syscall {
         /// The address space's label.
         label: Label,
         /// Descriptive string.
-        descrip: String,
-    },
+        descrip: String as &str,
+    } => sys_as_create, trap_as_create -> ObjectId(ObjectId);
     /// `sys_as_copy`.
     AsCopy {
         /// Source address space.
@@ -203,34 +375,34 @@ pub enum Syscall {
         /// Label of the copy.
         label: Label,
         /// Descriptive string.
-        descrip: String,
-    },
+        descrip: String as &str,
+    } => sys_as_copy, trap_as_copy -> ObjectId(ObjectId);
     /// `sys_as_map`.
     AsMap {
         /// The address space, named through a container entry.
         aspace: ContainerEntry,
         /// The mapping to insert or replace.
         mapping: Mapping,
-    },
+    } => sys_as_map, trap_as_map -> Unit(());
     /// `sys_as_unmap`.
     AsUnmap {
         /// The address space, named through a container entry.
         aspace: ContainerEntry,
         /// Virtual address of the mapping to remove.
         va: u64,
-    },
+    } => sys_as_unmap, trap_as_unmap -> Unit(());
     /// `sys_self_set_as`.
     SelfSetAs {
         /// The address space to switch to.
         aspace: ContainerEntry,
-    },
+    } => sys_self_set_as, trap_self_set_as -> Unit(());
     /// `sys_page_fault`.
     PageFault {
         /// The faulting virtual address.
         va: u64,
         /// Whether the access was a write.
         write: bool,
-    },
+    } => sys_page_fault, trap_page_fault -> PageFault(PageFaultResolution);
     /// `sys_thread_create`.
     ThreadCreate {
         /// The container the thread is created in.
@@ -242,26 +414,26 @@ pub enum Syscall {
         /// Abstract entry point.
         entry_point: u64,
         /// Descriptive string.
-        descrip: String,
-    },
+        descrip: String as &str,
+    } => sys_thread_create, trap_thread_create -> ObjectId(ObjectId);
     /// `sys_self_local_segment`.
-    SelfLocalSegment,
+    SelfLocalSegment => sys_self_local_segment, trap_self_local_segment -> ObjectId(ObjectId);
     /// `sys_self_halt`.
-    SelfHalt,
+    SelfHalt => sys_self_halt, trap_self_halt -> Unit(());
     /// `sys_thread_alert`.
     ThreadAlert {
         /// The target thread, named through a container entry.
         target: ContainerEntry,
         /// The alert code (Unix signal number, for the library).
         code: u64,
-    },
+    } => sys_thread_alert, trap_thread_alert -> Unit(());
     /// `sys_self_take_alert`.
-    SelfTakeAlert,
+    SelfTakeAlert => sys_self_take_alert, trap_self_take_alert -> Alert(Option<Alert>);
     /// `sys_thread_get_label`.
     ThreadGetLabel {
         /// The target thread, named through a container entry.
         target: ContainerEntry,
-    },
+    } => sys_thread_get_label, trap_thread_get_label -> Label(Label);
     /// `sys_gate_create`.
     GateCreate {
         /// The container the gate is created in.
@@ -277,8 +449,8 @@ pub enum Syscall {
         /// Closure arguments passed to the entry point.
         closure_args: Vec<u64>,
         /// Descriptive string.
-        descrip: String,
-    },
+        descrip: String as &str,
+    } => sys_gate_create, trap_gate_create -> ObjectId(ObjectId);
     /// `sys_gate_enter`.
     GateEnter {
         /// The gate to invoke.
@@ -289,46 +461,46 @@ pub enum Syscall {
         requested_clearance: Label,
         /// The verify label proving category possession to the gate code.
         verify: Label,
-    },
+    } => sys_gate_enter, trap_gate_enter -> GateEntry(GateEntryResult);
     /// `sys_gate_clearance`.
     GateClearance {
         /// The gate to query.
         gate: ContainerEntry,
-    },
+    } => sys_gate_clearance, trap_gate_clearance -> Label(Label);
     /// `sys_category_bind_remote`.
     CategoryBindRemote {
         /// The local category.
         category: Category,
         /// Its self-certifying global name.
         name: RemoteCategoryName,
-    },
+    } => sys_category_bind_remote, trap_category_bind_remote -> Unit(());
     /// `sys_category_get_remote`.
     CategoryGetRemote {
         /// The local category.
         category: Category,
-    },
+    } => sys_category_get_remote, trap_category_get_remote -> RemoteName(Option<RemoteCategoryName>);
     /// `sys_category_resolve_remote`.
     CategoryResolveRemote {
         /// The global name to resolve.
         name: RemoteCategoryName,
-    },
+    } => sys_category_resolve_remote, trap_category_resolve_remote -> ResolvedCategory(Option<Category>);
     /// `sys_net_mac`.
     NetMac {
         /// The device, named through a container entry.
         device: ContainerEntry,
-    },
+    } => sys_net_mac, trap_net_mac -> Mac([u8; 6]);
     /// `sys_net_transmit`.
     NetTransmit {
         /// The device, named through a container entry.
         device: ContainerEntry,
         /// The frame to queue for transmission.
         frame: Vec<u8>,
-    },
+    } => sys_net_transmit, trap_net_transmit -> Unit(());
     /// `sys_net_receive`.
     NetReceive {
         /// The device, named through a container entry.
         device: ContainerEntry,
-    },
+    } => sys_net_receive, trap_net_receive -> Frame(Option<Vec<u8>>);
     /// `sys_persist_put`: create or update a labeled record in the
     /// single-level store's persist namespace.
     PersistPut {
@@ -341,8 +513,8 @@ pub enum Syscall {
         /// Byte offset of the write within the record payload.
         offset: u64,
         /// The bytes to write.
-        data: Vec<u8>,
-    },
+        data: Vec<u8> as &[u8],
+    } => sys_persist_put, trap_persist_put -> Unit(());
     /// `sys_persist_read`: read bytes out of a persist record.
     PersistRead {
         /// The record key.
@@ -351,12 +523,12 @@ pub enum Syscall {
         offset: u64,
         /// Bytes to read (`u64::MAX` reads to the end of the record).
         len: u64,
-    },
+    } => sys_persist_read, trap_persist_read -> Bytes(Vec<u8>);
     /// `sys_persist_delete`: remove a persist record.
     PersistDelete {
         /// The record key.
         key: u64,
-    },
+    } => sys_persist_delete, trap_persist_delete -> Unit(());
     /// `sys_persist_scan`: range-scan the persist namespace, returning
     /// each observable record's key and payload.
     PersistScan {
@@ -366,7 +538,7 @@ pub enum Syscall {
         hi: u64,
         /// Maximum number of records to return.
         max: u64,
-    },
+    } => sys_persist_scan, trap_persist_scan -> Records(Vec<(u64, Vec<u8>)>);
     /// `sys_persist_sync`: make the named records durable (a write-ahead
     /// log append per record — HiStar's `fsync` primitive for data living
     /// directly in the store).
@@ -374,143 +546,19 @@ pub enum Syscall {
         /// The record keys to sync; keys with no record log a durable
         /// deletion instead.
         keys: Vec<u64>,
-    },
+    } => sys_persist_sync, trap_persist_sync -> Unit(());
     /// `sys_persist_get_label`: the label a persist record carries.
     PersistGetLabel {
         /// The record key.
         key: u64,
-    },
+    } => sys_persist_get_label, trap_persist_get_label -> Label(Label);
     /// `sys_segment_watch`: register a one-shot readiness watch on a
     /// segment; the kernel pushes an `ObjectReady` completion when the
     /// segment is next written or deallocated.
     SegmentWatch {
         /// The segment, named through a container entry.
         entry: ContainerEntry,
-    },
-}
-
-/// Number of distinct system calls in the ABI.
-pub const SYSCALL_COUNT: usize = 52;
-
-/// The names of all system calls, indexed by [`Syscall::index`].
-pub const SYSCALL_NAMES: [&str; SYSCALL_COUNT] = [
-    "create_category",
-    "self_set_label",
-    "self_set_clearance",
-    "self_get_label",
-    "self_get_clearance",
-    "container_create",
-    "obj_unref",
-    "hard_link",
-    "container_quota_avail",
-    "container_get_parent",
-    "container_list",
-    "quota_move",
-    "obj_get_label",
-    "obj_get_info",
-    "obj_get_metadata",
-    "obj_set_metadata",
-    "obj_set_immutable",
-    "obj_set_fixed_quota",
-    "segment_create",
-    "segment_resize",
-    "segment_read",
-    "segment_write",
-    "segment_len",
-    "segment_copy",
-    "as_create",
-    "as_copy",
-    "as_map",
-    "as_unmap",
-    "self_set_as",
-    "page_fault",
-    "thread_create",
-    "self_local_segment",
-    "self_halt",
-    "thread_alert",
-    "self_take_alert",
-    "thread_get_label",
-    "gate_create",
-    "gate_enter",
-    "gate_clearance",
-    "category_bind_remote",
-    "category_get_remote",
-    "category_resolve_remote",
-    "net_mac",
-    "net_transmit",
-    "net_receive",
-    "persist_put",
-    "persist_read",
-    "persist_delete",
-    "persist_scan",
-    "persist_sync",
-    "persist_get_label",
-    "segment_watch",
-];
-
-impl Syscall {
-    /// The call's index into [`SYSCALL_NAMES`] and the per-syscall stats.
-    pub fn index(&self) -> usize {
-        match self {
-            Syscall::CreateCategory => 0,
-            Syscall::SelfSetLabel { .. } => 1,
-            Syscall::SelfSetClearance { .. } => 2,
-            Syscall::SelfGetLabel => 3,
-            Syscall::SelfGetClearance => 4,
-            Syscall::ContainerCreate { .. } => 5,
-            Syscall::ObjUnref { .. } => 6,
-            Syscall::HardLink { .. } => 7,
-            Syscall::ContainerQuotaAvail { .. } => 8,
-            Syscall::ContainerGetParent { .. } => 9,
-            Syscall::ContainerList { .. } => 10,
-            Syscall::QuotaMove { .. } => 11,
-            Syscall::ObjGetLabel { .. } => 12,
-            Syscall::ObjGetInfo { .. } => 13,
-            Syscall::ObjGetMetadata { .. } => 14,
-            Syscall::ObjSetMetadata { .. } => 15,
-            Syscall::ObjSetImmutable { .. } => 16,
-            Syscall::ObjSetFixedQuota { .. } => 17,
-            Syscall::SegmentCreate { .. } => 18,
-            Syscall::SegmentResize { .. } => 19,
-            Syscall::SegmentRead { .. } => 20,
-            Syscall::SegmentWrite { .. } => 21,
-            Syscall::SegmentLen { .. } => 22,
-            Syscall::SegmentCopy { .. } => 23,
-            Syscall::AsCreate { .. } => 24,
-            Syscall::AsCopy { .. } => 25,
-            Syscall::AsMap { .. } => 26,
-            Syscall::AsUnmap { .. } => 27,
-            Syscall::SelfSetAs { .. } => 28,
-            Syscall::PageFault { .. } => 29,
-            Syscall::ThreadCreate { .. } => 30,
-            Syscall::SelfLocalSegment => 31,
-            Syscall::SelfHalt => 32,
-            Syscall::ThreadAlert { .. } => 33,
-            Syscall::SelfTakeAlert => 34,
-            Syscall::ThreadGetLabel { .. } => 35,
-            Syscall::GateCreate { .. } => 36,
-            Syscall::GateEnter { .. } => 37,
-            Syscall::GateClearance { .. } => 38,
-            Syscall::CategoryBindRemote { .. } => 39,
-            Syscall::CategoryGetRemote { .. } => 40,
-            Syscall::CategoryResolveRemote { .. } => 41,
-            Syscall::NetMac { .. } => 42,
-            Syscall::NetTransmit { .. } => 43,
-            Syscall::NetReceive { .. } => 44,
-            Syscall::PersistPut { .. } => 45,
-            Syscall::PersistRead { .. } => 46,
-            Syscall::PersistDelete { .. } => 47,
-            Syscall::PersistScan { .. } => 48,
-            Syscall::PersistSync { .. } => 49,
-            Syscall::PersistGetLabel { .. } => 50,
-            Syscall::SegmentWatch { .. } => 51,
-        }
-    }
-
-    /// The call's name (stable, used in traces and stats dumps).
-    pub fn name(&self) -> &'static str {
-        SYSCALL_NAMES[self.index()]
-    }
+    } => sys_segment_watch, trap_segment_watch -> Unit(());
 }
 
 /// The typed result of a successful [`Kernel::dispatch`].
@@ -621,11 +669,6 @@ impl SyscallResult {
 
 /// Per-syscall invocation and error counters maintained by
 /// [`Kernel::dispatch`].
-///
-/// Unlike [`SyscallStats`](crate::syscall::SyscallStats) (which aggregates
-/// kernel activity wherever it originates, including direct `sys_*` calls in
-/// kernel unit tests), these counters see exactly the trapped stream — one
-/// increment per [`Kernel::dispatch`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DispatchStats {
     /// Invocations per syscall, indexed like [`SYSCALL_NAMES`].
@@ -815,8 +858,8 @@ pub struct TraceRecord {
     pub ok: bool,
 }
 
-/// A bounded ring buffer of [`TraceRecord`]s — the machine's auditable,
-/// replayable syscall stream.  When full, the oldest record is dropped (and
+/// A bounded ring buffer of [`TraceRecord`]s — the machine's syscall
+/// audit stream.  When full, the oldest record is dropped (and
 /// counted), so enabling tracing never grows memory without bound.
 #[derive(Clone, Debug, Default)]
 pub struct SyscallTrace {
@@ -1059,976 +1102,18 @@ impl Kernel {
         tid: ObjectId,
         call: &mut Syscall,
     ) -> Result<(), SyscallError> {
-        use Syscall as S;
-        let mut args: [Option<&mut ContainerEntry>; 2] = [None, None];
-        match call {
-            S::ObjUnref { entry }
-            | S::HardLink { entry, .. }
-            | S::ObjGetLabel { entry }
-            | S::ObjGetInfo { entry }
-            | S::ObjGetMetadata { entry }
-            | S::ObjSetMetadata { entry, .. }
-            | S::ObjSetImmutable { entry }
-            | S::ObjSetFixedQuota { entry }
-            | S::SegmentResize { entry, .. }
-            | S::SegmentRead { entry, .. }
-            | S::SegmentWrite { entry, .. }
-            | S::SegmentLen { entry }
-            | S::SegmentWatch { entry } => args[0] = Some(entry),
-            S::SegmentCopy { src, .. } | S::AsCopy { src, .. } => args[0] = Some(src),
-            S::AsMap { aspace, mapping } => {
-                args[0] = Some(aspace);
-                args[1] = Some(&mut mapping.segment);
-            }
-            S::AsUnmap { aspace, .. } | S::SelfSetAs { aspace } => args[0] = Some(aspace),
-            S::ThreadAlert { target, .. } | S::ThreadGetLabel { target } => args[0] = Some(target),
-            S::GateCreate { address_space, .. } => args[0] = address_space.as_mut(),
-            S::GateEnter { gate, .. } | S::GateClearance { gate } => args[0] = Some(gate),
-            S::NetMac { device } | S::NetTransmit { device, .. } | S::NetReceive { device } => {
-                args[0] = Some(device)
-            }
-            _ => {}
-        }
         let mut resolved = 0;
-        for entry in args.into_iter().flatten() {
+        call.visit_entries(&mut |entry| {
             if let Some(h) = entry.as_handle() {
                 *entry = self
                     .handle_entry(tid, h)
                     .ok_or(SyscallError::BadHandle(h.raw()))?;
                 resolved += 1;
             }
-        }
+            Ok(())
+        })?;
         self.dispatch_stats_mut().handle_resolutions += resolved;
         Ok(())
-    }
-
-    fn dispatch_inner(
-        &mut self,
-        tid: ObjectId,
-        call: Syscall,
-    ) -> Result<SyscallResult, SyscallError> {
-        use Syscall as S;
-        use SyscallResult as R;
-        match call {
-            S::CreateCategory => self.sys_create_category(tid).map(R::Category),
-            S::SelfSetLabel { label } => self.sys_self_set_label(tid, label).map(|()| R::Unit),
-            S::SelfSetClearance { clearance } => self
-                .sys_self_set_clearance(tid, clearance)
-                .map(|()| R::Unit),
-            S::SelfGetLabel => self.sys_self_get_label(tid).map(R::Label),
-            S::SelfGetClearance => self.sys_self_get_clearance(tid).map(R::Label),
-            S::ContainerCreate {
-                parent,
-                label,
-                descrip,
-                avoid_types,
-                quota,
-            } => self
-                .sys_container_create(tid, parent, label, &descrip, avoid_types, quota)
-                .map(R::ObjectId),
-            S::ObjUnref { entry } => self.sys_obj_unref(tid, entry).map(|()| R::Unit),
-            S::HardLink { entry, dst } => self.sys_hard_link(tid, entry, dst).map(|()| R::Unit),
-            S::ContainerQuotaAvail { container } => {
-                self.sys_container_quota_avail(tid, container).map(R::U64)
-            }
-            S::ContainerGetParent { container } => self
-                .sys_container_get_parent(tid, container)
-                .map(R::ObjectId),
-            S::ContainerList { container } => {
-                self.sys_container_list(tid, container).map(R::ObjectIds)
-            }
-            S::QuotaMove {
-                container,
-                object,
-                delta,
-            } => self
-                .sys_quota_move(tid, container, object, delta)
-                .map(|()| R::Unit),
-            S::ObjGetLabel { entry } => self.sys_obj_get_label(tid, entry).map(R::Label),
-            S::ObjGetInfo { entry } => {
-                self.sys_obj_get_info(tid, entry)
-                    .map(|(object_type, descrip, quota)| R::Info {
-                        object_type,
-                        descrip,
-                        quota,
-                    })
-            }
-            S::ObjGetMetadata { entry } => self.sys_obj_get_metadata(tid, entry).map(R::Metadata),
-            S::ObjSetMetadata { entry, metadata } => self
-                .sys_obj_set_metadata(tid, entry, metadata)
-                .map(|()| R::Unit),
-            S::ObjSetImmutable { entry } => {
-                self.sys_obj_set_immutable(tid, entry).map(|()| R::Unit)
-            }
-            S::ObjSetFixedQuota { entry } => {
-                self.sys_obj_set_fixed_quota(tid, entry).map(|()| R::Unit)
-            }
-            S::SegmentCreate {
-                container,
-                label,
-                len,
-                descrip,
-            } => self
-                .sys_segment_create(tid, container, label, len, &descrip)
-                .map(R::ObjectId),
-            S::SegmentResize { entry, len } => {
-                self.sys_segment_resize(tid, entry, len).map(|()| R::Unit)
-            }
-            S::SegmentRead { entry, offset, len } => {
-                self.sys_segment_read(tid, entry, offset, len).map(R::Bytes)
-            }
-            S::SegmentWrite {
-                entry,
-                offset,
-                data,
-            } => self
-                .sys_segment_write(tid, entry, offset, &data)
-                .map(|()| R::Unit),
-            S::SegmentLen { entry } => self.sys_segment_len(tid, entry).map(R::U64),
-            S::SegmentWatch { entry } => self.sys_segment_watch(tid, entry).map(|()| R::Unit),
-            S::SegmentCopy {
-                src,
-                dst_container,
-                label,
-                descrip,
-            } => self
-                .sys_segment_copy(tid, src, dst_container, label, &descrip)
-                .map(R::ObjectId),
-            S::AsCreate {
-                container,
-                label,
-                descrip,
-            } => self
-                .sys_as_create(tid, container, label, &descrip)
-                .map(R::ObjectId),
-            S::AsCopy {
-                src,
-                dst_container,
-                label,
-                descrip,
-            } => self
-                .sys_as_copy(tid, src, dst_container, label, &descrip)
-                .map(R::ObjectId),
-            S::AsMap { aspace, mapping } => self.sys_as_map(tid, aspace, mapping).map(|()| R::Unit),
-            S::AsUnmap { aspace, va } => self.sys_as_unmap(tid, aspace, va).map(|()| R::Unit),
-            S::SelfSetAs { aspace } => self.sys_self_set_as(tid, aspace).map(|()| R::Unit),
-            S::PageFault { va, write } => self.sys_page_fault(tid, va, write).map(R::PageFault),
-            S::ThreadCreate {
-                container,
-                label,
-                clearance,
-                entry_point,
-                descrip,
-            } => self
-                .sys_thread_create(tid, container, label, clearance, entry_point, &descrip)
-                .map(R::ObjectId),
-            S::SelfLocalSegment => self.sys_self_local_segment(tid).map(R::ObjectId),
-            S::SelfHalt => self.sys_self_halt(tid).map(|()| R::Unit),
-            S::ThreadAlert { target, code } => {
-                self.sys_thread_alert(tid, target, code).map(|()| R::Unit)
-            }
-            S::SelfTakeAlert => self.sys_self_take_alert(tid).map(R::Alert),
-            S::ThreadGetLabel { target } => self.sys_thread_get_label(tid, target).map(R::Label),
-            S::GateCreate {
-                container,
-                label,
-                clearance,
-                address_space,
-                entry_point,
-                closure_args,
-                descrip,
-            } => self
-                .sys_gate_create(
-                    tid,
-                    container,
-                    label,
-                    clearance,
-                    address_space,
-                    entry_point,
-                    closure_args,
-                    &descrip,
-                )
-                .map(R::ObjectId),
-            S::GateEnter {
-                gate,
-                requested,
-                requested_clearance,
-                verify,
-            } => self
-                .sys_gate_enter(tid, gate, requested, requested_clearance, verify)
-                .map(R::GateEntry),
-            S::GateClearance { gate } => self.sys_gate_clearance(tid, gate).map(R::Label),
-            S::CategoryBindRemote { category, name } => self
-                .sys_category_bind_remote(tid, category, name)
-                .map(|()| R::Unit),
-            S::CategoryGetRemote { category } => self
-                .sys_category_get_remote(tid, category)
-                .map(R::RemoteName),
-            S::CategoryResolveRemote { name } => self
-                .sys_category_resolve_remote(tid, name)
-                .map(R::ResolvedCategory),
-            S::NetMac { device } => self.sys_net_mac(tid, device).map(R::Mac),
-            S::NetTransmit { device, frame } => {
-                self.sys_net_transmit(tid, device, frame).map(|()| R::Unit)
-            }
-            S::NetReceive { device } => self.sys_net_receive(tid, device).map(R::Frame),
-            S::PersistPut {
-                key,
-                label,
-                offset,
-                data,
-            } => self
-                .sys_persist_put(tid, key, label, offset, &data)
-                .map(|()| R::Unit),
-            S::PersistRead { key, offset, len } => {
-                self.sys_persist_read(tid, key, offset, len).map(R::Bytes)
-            }
-            S::PersistDelete { key } => self.sys_persist_delete(tid, key).map(|()| R::Unit),
-            S::PersistScan { lo, hi, max } => {
-                self.sys_persist_scan(tid, lo, hi, max).map(R::Records)
-            }
-            S::PersistSync { keys } => self.sys_persist_sync(tid, &keys).map(|()| R::Unit),
-            S::PersistGetLabel { key } => self.sys_persist_get_label(tid, key).map(R::Label),
-        }
-    }
-}
-
-/// The `trap_*` calling convention: typed wrappers over [`Kernel::dispatch`].
-///
-/// Each method mirrors the corresponding `sys_*` signature exactly, but the
-/// call crosses the dispatch boundary, so it is counted and traced.
-impl Kernel {
-    /// Traps `sys_create_category`.
-    pub fn trap_create_category(&mut self, tid: ObjectId) -> Result<Category, SyscallError> {
-        match self.dispatch(tid, Syscall::CreateCategory)? {
-            SyscallResult::Category(c) => Ok(c),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_self_set_label`.
-    pub fn trap_self_set_label(&mut self, tid: ObjectId, label: Label) -> Result<(), SyscallError> {
-        match self.dispatch(tid, Syscall::SelfSetLabel { label })? {
-            SyscallResult::Unit => Ok(()),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_self_set_clearance`.
-    pub fn trap_self_set_clearance(
-        &mut self,
-        tid: ObjectId,
-        clearance: Label,
-    ) -> Result<(), SyscallError> {
-        match self.dispatch(tid, Syscall::SelfSetClearance { clearance })? {
-            SyscallResult::Unit => Ok(()),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_self_get_label`.
-    pub fn trap_self_get_label(&mut self, tid: ObjectId) -> Result<Label, SyscallError> {
-        match self.dispatch(tid, Syscall::SelfGetLabel)? {
-            SyscallResult::Label(l) => Ok(l),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_self_get_clearance`.
-    pub fn trap_self_get_clearance(&mut self, tid: ObjectId) -> Result<Label, SyscallError> {
-        match self.dispatch(tid, Syscall::SelfGetClearance)? {
-            SyscallResult::Label(l) => Ok(l),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_container_create`.
-    pub fn trap_container_create(
-        &mut self,
-        tid: ObjectId,
-        parent: ObjectId,
-        label: Label,
-        descrip: &str,
-        avoid_types: u8,
-        quota: u64,
-    ) -> Result<ObjectId, SyscallError> {
-        match self.dispatch(
-            tid,
-            Syscall::ContainerCreate {
-                parent,
-                label,
-                descrip: descrip.to_string(),
-                avoid_types,
-                quota,
-            },
-        )? {
-            SyscallResult::ObjectId(id) => Ok(id),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_obj_unref`.
-    pub fn trap_obj_unref(
-        &mut self,
-        tid: ObjectId,
-        entry: ContainerEntry,
-    ) -> Result<(), SyscallError> {
-        match self.dispatch(tid, Syscall::ObjUnref { entry })? {
-            SyscallResult::Unit => Ok(()),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_hard_link`.
-    pub fn trap_hard_link(
-        &mut self,
-        tid: ObjectId,
-        entry: ContainerEntry,
-        dst: ObjectId,
-    ) -> Result<(), SyscallError> {
-        match self.dispatch(tid, Syscall::HardLink { entry, dst })? {
-            SyscallResult::Unit => Ok(()),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_container_quota_avail`.
-    pub fn trap_container_quota_avail(
-        &mut self,
-        tid: ObjectId,
-        container: ObjectId,
-    ) -> Result<u64, SyscallError> {
-        match self.dispatch(tid, Syscall::ContainerQuotaAvail { container })? {
-            SyscallResult::U64(v) => Ok(v),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_container_get_parent`.
-    pub fn trap_container_get_parent(
-        &mut self,
-        tid: ObjectId,
-        container: ObjectId,
-    ) -> Result<ObjectId, SyscallError> {
-        match self.dispatch(tid, Syscall::ContainerGetParent { container })? {
-            SyscallResult::ObjectId(id) => Ok(id),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_container_list`.
-    pub fn trap_container_list(
-        &mut self,
-        tid: ObjectId,
-        container: ObjectId,
-    ) -> Result<Vec<ObjectId>, SyscallError> {
-        match self.dispatch(tid, Syscall::ContainerList { container })? {
-            SyscallResult::ObjectIds(ids) => Ok(ids),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_quota_move`.
-    pub fn trap_quota_move(
-        &mut self,
-        tid: ObjectId,
-        container: ObjectId,
-        object: ObjectId,
-        delta: i64,
-    ) -> Result<(), SyscallError> {
-        match self.dispatch(
-            tid,
-            Syscall::QuotaMove {
-                container,
-                object,
-                delta,
-            },
-        )? {
-            SyscallResult::Unit => Ok(()),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_obj_get_label`.
-    pub fn trap_obj_get_label(
-        &mut self,
-        tid: ObjectId,
-        entry: ContainerEntry,
-    ) -> Result<Label, SyscallError> {
-        match self.dispatch(tid, Syscall::ObjGetLabel { entry })? {
-            SyscallResult::Label(l) => Ok(l),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_obj_get_info`.
-    pub fn trap_obj_get_info(
-        &mut self,
-        tid: ObjectId,
-        entry: ContainerEntry,
-    ) -> Result<(ObjectType, String, u64), SyscallError> {
-        match self.dispatch(tid, Syscall::ObjGetInfo { entry })? {
-            SyscallResult::Info {
-                object_type,
-                descrip,
-                quota,
-            } => Ok((object_type, descrip, quota)),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_obj_get_metadata`.
-    pub fn trap_obj_get_metadata(
-        &mut self,
-        tid: ObjectId,
-        entry: ContainerEntry,
-    ) -> Result<[u8; METADATA_LEN], SyscallError> {
-        match self.dispatch(tid, Syscall::ObjGetMetadata { entry })? {
-            SyscallResult::Metadata(m) => Ok(m),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_obj_set_metadata`.
-    pub fn trap_obj_set_metadata(
-        &mut self,
-        tid: ObjectId,
-        entry: ContainerEntry,
-        metadata: [u8; METADATA_LEN],
-    ) -> Result<(), SyscallError> {
-        match self.dispatch(tid, Syscall::ObjSetMetadata { entry, metadata })? {
-            SyscallResult::Unit => Ok(()),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_obj_set_immutable`.
-    pub fn trap_obj_set_immutable(
-        &mut self,
-        tid: ObjectId,
-        entry: ContainerEntry,
-    ) -> Result<(), SyscallError> {
-        match self.dispatch(tid, Syscall::ObjSetImmutable { entry })? {
-            SyscallResult::Unit => Ok(()),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_obj_set_fixed_quota`.
-    pub fn trap_obj_set_fixed_quota(
-        &mut self,
-        tid: ObjectId,
-        entry: ContainerEntry,
-    ) -> Result<(), SyscallError> {
-        match self.dispatch(tid, Syscall::ObjSetFixedQuota { entry })? {
-            SyscallResult::Unit => Ok(()),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_segment_create`.
-    pub fn trap_segment_create(
-        &mut self,
-        tid: ObjectId,
-        container: ObjectId,
-        label: Label,
-        len: u64,
-        descrip: &str,
-    ) -> Result<ObjectId, SyscallError> {
-        match self.dispatch(
-            tid,
-            Syscall::SegmentCreate {
-                container,
-                label,
-                len,
-                descrip: descrip.to_string(),
-            },
-        )? {
-            SyscallResult::ObjectId(id) => Ok(id),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_segment_resize`.
-    pub fn trap_segment_resize(
-        &mut self,
-        tid: ObjectId,
-        entry: ContainerEntry,
-        len: u64,
-    ) -> Result<(), SyscallError> {
-        match self.dispatch(tid, Syscall::SegmentResize { entry, len })? {
-            SyscallResult::Unit => Ok(()),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_segment_read`.
-    pub fn trap_segment_read(
-        &mut self,
-        tid: ObjectId,
-        entry: ContainerEntry,
-        offset: u64,
-        len: u64,
-    ) -> Result<Vec<u8>, SyscallError> {
-        match self.dispatch(tid, Syscall::SegmentRead { entry, offset, len })? {
-            SyscallResult::Bytes(b) => Ok(b),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_segment_write`.
-    pub fn trap_segment_write(
-        &mut self,
-        tid: ObjectId,
-        entry: ContainerEntry,
-        offset: u64,
-        data: &[u8],
-    ) -> Result<(), SyscallError> {
-        match self.dispatch(
-            tid,
-            Syscall::SegmentWrite {
-                entry,
-                offset,
-                data: data.to_vec(),
-            },
-        )? {
-            SyscallResult::Unit => Ok(()),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_segment_watch`.
-    pub fn trap_segment_watch(
-        &mut self,
-        tid: ObjectId,
-        entry: ContainerEntry,
-    ) -> Result<(), SyscallError> {
-        match self.dispatch(tid, Syscall::SegmentWatch { entry })? {
-            SyscallResult::Unit => Ok(()),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_segment_len`.
-    pub fn trap_segment_len(
-        &mut self,
-        tid: ObjectId,
-        entry: ContainerEntry,
-    ) -> Result<u64, SyscallError> {
-        match self.dispatch(tid, Syscall::SegmentLen { entry })? {
-            SyscallResult::U64(v) => Ok(v),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_segment_copy`.
-    pub fn trap_segment_copy(
-        &mut self,
-        tid: ObjectId,
-        src: ContainerEntry,
-        dst_container: ObjectId,
-        label: Label,
-        descrip: &str,
-    ) -> Result<ObjectId, SyscallError> {
-        match self.dispatch(
-            tid,
-            Syscall::SegmentCopy {
-                src,
-                dst_container,
-                label,
-                descrip: descrip.to_string(),
-            },
-        )? {
-            SyscallResult::ObjectId(id) => Ok(id),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_as_create`.
-    pub fn trap_as_create(
-        &mut self,
-        tid: ObjectId,
-        container: ObjectId,
-        label: Label,
-        descrip: &str,
-    ) -> Result<ObjectId, SyscallError> {
-        match self.dispatch(
-            tid,
-            Syscall::AsCreate {
-                container,
-                label,
-                descrip: descrip.to_string(),
-            },
-        )? {
-            SyscallResult::ObjectId(id) => Ok(id),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_as_copy`.
-    pub fn trap_as_copy(
-        &mut self,
-        tid: ObjectId,
-        src: ContainerEntry,
-        dst_container: ObjectId,
-        label: Label,
-        descrip: &str,
-    ) -> Result<ObjectId, SyscallError> {
-        match self.dispatch(
-            tid,
-            Syscall::AsCopy {
-                src,
-                dst_container,
-                label,
-                descrip: descrip.to_string(),
-            },
-        )? {
-            SyscallResult::ObjectId(id) => Ok(id),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_as_map`.
-    pub fn trap_as_map(
-        &mut self,
-        tid: ObjectId,
-        aspace: ContainerEntry,
-        mapping: Mapping,
-    ) -> Result<(), SyscallError> {
-        match self.dispatch(tid, Syscall::AsMap { aspace, mapping })? {
-            SyscallResult::Unit => Ok(()),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_as_unmap`.
-    pub fn trap_as_unmap(
-        &mut self,
-        tid: ObjectId,
-        aspace: ContainerEntry,
-        va: u64,
-    ) -> Result<(), SyscallError> {
-        match self.dispatch(tid, Syscall::AsUnmap { aspace, va })? {
-            SyscallResult::Unit => Ok(()),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_self_set_as`.
-    pub fn trap_self_set_as(
-        &mut self,
-        tid: ObjectId,
-        aspace: ContainerEntry,
-    ) -> Result<(), SyscallError> {
-        match self.dispatch(tid, Syscall::SelfSetAs { aspace })? {
-            SyscallResult::Unit => Ok(()),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_page_fault`.
-    pub fn trap_page_fault(
-        &mut self,
-        tid: ObjectId,
-        va: u64,
-        write: bool,
-    ) -> Result<PageFaultResolution, SyscallError> {
-        match self.dispatch(tid, Syscall::PageFault { va, write })? {
-            SyscallResult::PageFault(r) => Ok(r),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_thread_create`.
-    pub fn trap_thread_create(
-        &mut self,
-        tid: ObjectId,
-        container: ObjectId,
-        label: Label,
-        clearance: Label,
-        entry_point: u64,
-        descrip: &str,
-    ) -> Result<ObjectId, SyscallError> {
-        match self.dispatch(
-            tid,
-            Syscall::ThreadCreate {
-                container,
-                label,
-                clearance,
-                entry_point,
-                descrip: descrip.to_string(),
-            },
-        )? {
-            SyscallResult::ObjectId(id) => Ok(id),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_self_local_segment`.
-    pub fn trap_self_local_segment(&mut self, tid: ObjectId) -> Result<ObjectId, SyscallError> {
-        match self.dispatch(tid, Syscall::SelfLocalSegment)? {
-            SyscallResult::ObjectId(id) => Ok(id),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_self_halt`.
-    pub fn trap_self_halt(&mut self, tid: ObjectId) -> Result<(), SyscallError> {
-        match self.dispatch(tid, Syscall::SelfHalt)? {
-            SyscallResult::Unit => Ok(()),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_thread_alert`.
-    pub fn trap_thread_alert(
-        &mut self,
-        tid: ObjectId,
-        target: ContainerEntry,
-        code: u64,
-    ) -> Result<(), SyscallError> {
-        match self.dispatch(tid, Syscall::ThreadAlert { target, code })? {
-            SyscallResult::Unit => Ok(()),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_self_take_alert`.
-    pub fn trap_self_take_alert(&mut self, tid: ObjectId) -> Result<Option<Alert>, SyscallError> {
-        match self.dispatch(tid, Syscall::SelfTakeAlert)? {
-            SyscallResult::Alert(a) => Ok(a),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_thread_get_label`.
-    pub fn trap_thread_get_label(
-        &mut self,
-        tid: ObjectId,
-        target: ContainerEntry,
-    ) -> Result<Label, SyscallError> {
-        match self.dispatch(tid, Syscall::ThreadGetLabel { target })? {
-            SyscallResult::Label(l) => Ok(l),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_gate_create`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn trap_gate_create(
-        &mut self,
-        tid: ObjectId,
-        container: ObjectId,
-        label: Label,
-        clearance: Label,
-        address_space: Option<ContainerEntry>,
-        entry_point: u64,
-        closure_args: Vec<u64>,
-        descrip: &str,
-    ) -> Result<ObjectId, SyscallError> {
-        match self.dispatch(
-            tid,
-            Syscall::GateCreate {
-                container,
-                label,
-                clearance,
-                address_space,
-                entry_point,
-                closure_args,
-                descrip: descrip.to_string(),
-            },
-        )? {
-            SyscallResult::ObjectId(id) => Ok(id),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_gate_enter`.
-    pub fn trap_gate_enter(
-        &mut self,
-        tid: ObjectId,
-        gate: ContainerEntry,
-        requested: Label,
-        requested_clearance: Label,
-        verify: Label,
-    ) -> Result<GateEntryResult, SyscallError> {
-        match self.dispatch(
-            tid,
-            Syscall::GateEnter {
-                gate,
-                requested,
-                requested_clearance,
-                verify,
-            },
-        )? {
-            SyscallResult::GateEntry(r) => Ok(r),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_gate_clearance`.
-    pub fn trap_gate_clearance(
-        &mut self,
-        tid: ObjectId,
-        gate: ContainerEntry,
-    ) -> Result<Label, SyscallError> {
-        match self.dispatch(tid, Syscall::GateClearance { gate })? {
-            SyscallResult::Label(l) => Ok(l),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_category_bind_remote`.
-    pub fn trap_category_bind_remote(
-        &mut self,
-        tid: ObjectId,
-        category: Category,
-        name: RemoteCategoryName,
-    ) -> Result<(), SyscallError> {
-        match self.dispatch(tid, Syscall::CategoryBindRemote { category, name })? {
-            SyscallResult::Unit => Ok(()),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_category_get_remote`.
-    pub fn trap_category_get_remote(
-        &mut self,
-        tid: ObjectId,
-        category: Category,
-    ) -> Result<Option<RemoteCategoryName>, SyscallError> {
-        match self.dispatch(tid, Syscall::CategoryGetRemote { category })? {
-            SyscallResult::RemoteName(n) => Ok(n),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_category_resolve_remote`.
-    pub fn trap_category_resolve_remote(
-        &mut self,
-        tid: ObjectId,
-        name: RemoteCategoryName,
-    ) -> Result<Option<Category>, SyscallError> {
-        match self.dispatch(tid, Syscall::CategoryResolveRemote { name })? {
-            SyscallResult::ResolvedCategory(c) => Ok(c),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_net_mac`.
-    pub fn trap_net_mac(
-        &mut self,
-        tid: ObjectId,
-        device: ContainerEntry,
-    ) -> Result<[u8; 6], SyscallError> {
-        match self.dispatch(tid, Syscall::NetMac { device })? {
-            SyscallResult::Mac(m) => Ok(m),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_net_transmit`.
-    pub fn trap_net_transmit(
-        &mut self,
-        tid: ObjectId,
-        device: ContainerEntry,
-        frame: Vec<u8>,
-    ) -> Result<(), SyscallError> {
-        match self.dispatch(tid, Syscall::NetTransmit { device, frame })? {
-            SyscallResult::Unit => Ok(()),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_net_receive`.
-    pub fn trap_net_receive(
-        &mut self,
-        tid: ObjectId,
-        device: ContainerEntry,
-    ) -> Result<Option<Vec<u8>>, SyscallError> {
-        match self.dispatch(tid, Syscall::NetReceive { device })? {
-            SyscallResult::Frame(f) => Ok(f),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_persist_put`.
-    pub fn trap_persist_put(
-        &mut self,
-        tid: ObjectId,
-        key: u64,
-        label: Option<Label>,
-        offset: u64,
-        data: &[u8],
-    ) -> Result<(), SyscallError> {
-        match self.dispatch(
-            tid,
-            Syscall::PersistPut {
-                key,
-                label,
-                offset,
-                data: data.to_vec(),
-            },
-        )? {
-            SyscallResult::Unit => Ok(()),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_persist_read`.
-    pub fn trap_persist_read(
-        &mut self,
-        tid: ObjectId,
-        key: u64,
-        offset: u64,
-        len: u64,
-    ) -> Result<Vec<u8>, SyscallError> {
-        match self.dispatch(tid, Syscall::PersistRead { key, offset, len })? {
-            SyscallResult::Bytes(b) => Ok(b),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_persist_delete`.
-    pub fn trap_persist_delete(&mut self, tid: ObjectId, key: u64) -> Result<(), SyscallError> {
-        match self.dispatch(tid, Syscall::PersistDelete { key })? {
-            SyscallResult::Unit => Ok(()),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_persist_scan`.
-    pub fn trap_persist_scan(
-        &mut self,
-        tid: ObjectId,
-        lo: u64,
-        hi: u64,
-        max: u64,
-    ) -> Result<Vec<(u64, Vec<u8>)>, SyscallError> {
-        match self.dispatch(tid, Syscall::PersistScan { lo, hi, max })? {
-            SyscallResult::Records(r) => Ok(r),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_persist_sync`.
-    pub fn trap_persist_sync(&mut self, tid: ObjectId, keys: Vec<u64>) -> Result<(), SyscallError> {
-        match self.dispatch(tid, Syscall::PersistSync { keys })? {
-            SyscallResult::Unit => Ok(()),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_persist_get_label`.
-    pub fn trap_persist_get_label(
-        &mut self,
-        tid: ObjectId,
-        key: u64,
-    ) -> Result<Label, SyscallError> {
-        match self.dispatch(tid, Syscall::PersistGetLabel { key })? {
-            SyscallResult::Label(l) => Ok(l),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
     }
 }
 
@@ -2087,9 +1172,12 @@ mod tests {
             ka.thread_label(tida).unwrap(),
             kb.thread_label(tidb).unwrap()
         );
-        // The aggregate kernel counters agree; only the dispatch counters
-        // differ (the direct call bypasses the trap boundary).
-        assert_eq!(ka.stats(), kb.stats());
+        // The label-check and object counters agree; the syscall totals
+        // are dispatch counters, so only the trapped call shows up there.
+        let (sa, sb) = (ka.stats(), kb.stats());
+        assert_eq!(sa.label_checks, sb.label_checks);
+        assert_eq!(sa.objects_created, sb.objects_created);
+        assert_eq!((sa.syscalls, sb.syscalls), (0, 1));
         assert_eq!(ka.dispatch_stats().total(), 0);
         assert_eq!(kb.dispatch_stats().total(), 1);
     }

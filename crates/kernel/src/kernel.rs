@@ -1,10 +1,13 @@
 //! The kernel proper: object table plus the system-call surface.
 //!
-//! Every public `sys_*` method corresponds to a HiStar system call and is
-//! invoked on behalf of a *calling thread* named by its object ID.  Each
-//! call performs exactly the label checks the paper specifies before
-//! touching any state, counts itself in [`SyscallStats`], and charges its
-//! CPU cost to the machine clock (when one is attached).
+//! Every `sys_*` method corresponds to a HiStar system call and is
+//! invoked on behalf of a *calling thread* named by its object ID.  The
+//! methods are crate-private: user code reaches them only through
+//! [`Kernel::dispatch`] and the `trap_*` wrappers, which count and audit
+//! each call.  Each call performs exactly the label checks the paper
+//! specifies before touching any state, counts its label checks in
+//! [`SyscallStats`], and charges its CPU cost to the machine clock (when
+//! one is attached).
 
 use crate::abi::{Completion, CompletionKind, Handle, HandleTable, KERNEL_USER_DATA};
 use crate::bodies::{
@@ -232,9 +235,14 @@ impl Kernel {
         self.root
     }
 
-    /// Kernel activity counters.
+    /// Kernel activity counters.  The syscall and error totals are the
+    /// dispatch counters: every syscall enters through [`Kernel::dispatch`].
     pub fn stats(&self) -> SyscallStats {
-        self.stats
+        SyscallStats {
+            syscalls: self.dispatch_stats.total(),
+            errors: self.dispatch_stats.total_errors(),
+            ..self.stats
+        }
     }
 
     /// Per-syscall counters for the trapped (dispatched) call stream.
@@ -333,7 +341,7 @@ impl Kernel {
     /// snapshot charges no simulated time.
     pub fn metrics(&self) -> MetricSet {
         let mut set = MetricSet::new();
-        set.collect(&self.stats);
+        set.collect(&self.stats());
         set.collect(&self.dispatch_stats);
         set.collect(&self.label_cache.stats());
         set.gauge("kernel.objects", self.object_count() as u64);
@@ -404,11 +412,6 @@ impl Kernel {
         }
     }
 
-    fn charge_syscall(&mut self) {
-        self.stats.syscalls += 1;
-        self.charge_boundary();
-    }
-
     /// Charges one boundary crossing.  Inside a submission batch the
     /// kernel is entered once: the first operation pays the full trap
     /// cost, the rest only the per-entry decode cost.  Counters are
@@ -423,7 +426,7 @@ impl Kernel {
         self.charge(c);
     }
 
-    /// Enters batch mode: the next `charge_syscall` pays the full trap
+    /// Enters batch mode: the next `charge_boundary` pays the full trap
     /// cost, subsequent ones only the decode cost, until `end_batch`.
     /// The store opens a group-commit window for the same span, so every
     /// `persist_sync` in the batch rides one shared WAL frame.
@@ -500,18 +503,11 @@ impl Kernel {
     }
 
     /// Fetches the calling thread's label and clearance, verifying the
-    /// thread exists and is runnable.  Also accounts for the syscall.
+    /// thread exists and is runnable.  Also charges the boundary crossing.
     fn calling_thread(&mut self, tid: ObjectId) -> Result<(Label, Label), SyscallError> {
-        self.charge_syscall();
-        let (header, body) = match self.thread(tid) {
-            Ok(x) => x,
-            Err(e) => {
-                self.stats.errors += 1;
-                return Err(e);
-            }
-        };
+        self.charge_boundary();
+        let (header, body) = self.thread(tid)?;
         if body.state == ThreadState::Halted {
-            self.stats.errors += 1;
             return Err(SyscallError::ThreadHalted(tid));
         }
         Ok((header.label.clone(), body.clearance.clone()))
@@ -772,12 +768,12 @@ impl Kernel {
     ///
     /// The watch is observe-checked: watching an object you cannot read
     /// would turn its write activity into a covert channel.
-    pub fn sys_segment_watch(
+    pub(crate) fn sys_segment_watch(
         &mut self,
         tid: ObjectId,
         entry: ContainerEntry,
     ) -> Result<(), SyscallError> {
-        self.charge_syscall();
+        self.charge_boundary();
         let tl = self.thread_label(tid)?;
         self.check_entry(&tl, entry)?;
         self.check_observe(&tl, entry.object)?;
@@ -955,65 +951,62 @@ impl Kernel {
     /// pass the modify check against it; `offset`/`data` splice into the
     /// payload, growing it (zero-filled) as needed.  A new record takes
     /// `label`, validated by the allocation rule `L_T ⊑ L ⊑ C_T`.
-    pub fn sys_persist_put(
+    pub(crate) fn sys_persist_put(
         &mut self,
         tid: ObjectId,
         key: u64,
         label: Option<Label>,
         offset: u64,
-        data: &[u8],
+        data: Vec<u8>,
     ) -> Result<(), SyscallError> {
         let (tl, tc) = self.calling_thread(tid)?;
-        let result = (|| -> Result<(), SyscallError> {
-            if !is_persist_key(key) {
-                return Err(SyscallError::InvalidArgument(
-                    "key outside the persist record namespace",
-                ));
+        if !is_persist_key(key) {
+            return Err(SyscallError::InvalidArgument(
+                "key outside the persist record namespace",
+            ));
+        }
+        let end = offset
+            .checked_add(data.len() as u64)
+            .filter(|&e| e <= Self::PERSIST_RECORD_MAX)
+            .ok_or(SyscallError::InvalidArgument(
+                "persist record write out of range",
+            ))?;
+        let (rlabel, mut payload) = match self.persist_record(key)? {
+            Some(bytes) => {
+                let (rlabel, payload) = Self::persist_unframe(key, &bytes)?;
+                self.check_record_modify(&tl, key, &rlabel)?;
+                (rlabel, payload)
             }
-            let end = offset
-                .checked_add(data.len() as u64)
-                .filter(|&e| e <= Self::PERSIST_RECORD_MAX)
-                .ok_or(SyscallError::InvalidArgument(
-                    "persist record write out of range",
+            None => {
+                let label = label.ok_or(SyscallError::InvalidArgument(
+                    "creating a persist record requires a label",
                 ))?;
-            let (rlabel, mut payload) = match self.persist_record(key)? {
-                Some(bytes) => {
-                    let (rlabel, payload) = Self::persist_unframe(key, &bytes)?;
-                    self.check_record_modify(&tl, key, &rlabel)?;
-                    (rlabel, payload)
+                if label.contains_star() {
+                    return Err(SyscallError::OwnershipNotAllowed(ObjectType::Segment));
                 }
-                None => {
-                    let label = label.ok_or(SyscallError::InvalidArgument(
-                        "creating a persist record requires a label",
-                    ))?;
-                    if label.contains_star() {
-                        return Err(SyscallError::OwnershipNotAllowed(ObjectType::Segment));
-                    }
-                    tl.can_allocate(&tc, &label)?;
-                    (label, Vec::new())
-                }
-            };
-            if end as usize > payload.len() {
-                payload.resize(end as usize, 0);
+                tl.can_allocate(&tc, &label)?;
+                (label, Vec::new())
             }
-            payload[offset as usize..end as usize].copy_from_slice(data);
-            let copy_cost = self.cost.copy(data.len() as u64);
-            self.charge(copy_cost);
-            let framed = Self::persist_frame(&rlabel, &payload);
-            self.store
-                .as_mut()
-                .expect("persist_record verified the store")
-                .put(key, framed);
-            Ok(())
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+        };
+        if end as usize > payload.len() {
+            payload.resize(end as usize, 0);
+        }
+        payload[offset as usize..end as usize].copy_from_slice(&data);
+        let copy_cost = self.cost.copy(data.len() as u64);
+        self.charge(copy_cost);
+        let framed = Self::persist_frame(&rlabel, &payload);
+        self.store
+            .as_mut()
+            .expect("persist_record verified the store")
+            .put(key, framed);
+        Ok(())
     }
 
     /// Reads bytes out of a persist record (label-checked against the
     /// label stored *in* the record — the check a tainted reader fails
     /// even after the record was recovered from the write-ahead log).
     /// `len == u64::MAX` reads to the end of the payload.
-    pub fn sys_persist_read(
+    pub(crate) fn sys_persist_read(
         &mut self,
         tid: ObjectId,
         key: u64,
@@ -1021,48 +1014,46 @@ impl Kernel {
         len: u64,
     ) -> Result<Vec<u8>, SyscallError> {
         let (tl, _) = self.calling_thread(tid)?;
-        let result = (|| -> Result<Vec<u8>, SyscallError> {
-            let bytes = self
-                .persist_record(key)?
-                .ok_or(SyscallError::NoSuchRecord(key))?;
-            let (rlabel, payload) = Self::persist_unframe(key, &bytes)?;
-            self.check_record_observe(&tl, key, &rlabel)?;
-            if offset > payload.len() as u64 {
-                return Err(SyscallError::InvalidArgument("read beyond end of record"));
-            }
-            let end = if len == u64::MAX {
-                payload.len() as u64
-            } else {
-                offset
-                    .checked_add(len)
-                    .filter(|&e| e <= payload.len() as u64)
-                    .ok_or(SyscallError::InvalidArgument("read beyond end of record"))?
-            };
-            let copy_cost = self.cost.copy(end - offset);
-            self.charge(copy_cost);
-            Ok(payload[offset as usize..end as usize].to_vec())
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+        let bytes = self
+            .persist_record(key)?
+            .ok_or(SyscallError::NoSuchRecord(key))?;
+        let (rlabel, payload) = Self::persist_unframe(key, &bytes)?;
+        self.check_record_observe(&tl, key, &rlabel)?;
+        if offset > payload.len() as u64 {
+            return Err(SyscallError::InvalidArgument("read beyond end of record"));
+        }
+        let end = if len == u64::MAX {
+            payload.len() as u64
+        } else {
+            offset
+                .checked_add(len)
+                .filter(|&e| e <= payload.len() as u64)
+                .ok_or(SyscallError::InvalidArgument("read beyond end of record"))?
+        };
+        let copy_cost = self.cost.copy(end - offset);
+        self.charge(copy_cost);
+        Ok(payload[offset as usize..end as usize].to_vec())
     }
 
     /// Removes a persist record (modify-checked against its label).  The
     /// deletion becomes durable at the next sync of the key or the next
     /// checkpoint.
-    pub fn sys_persist_delete(&mut self, tid: ObjectId, key: u64) -> Result<(), SyscallError> {
+    pub(crate) fn sys_persist_delete(
+        &mut self,
+        tid: ObjectId,
+        key: u64,
+    ) -> Result<(), SyscallError> {
         let (tl, _) = self.calling_thread(tid)?;
-        let result = (|| -> Result<(), SyscallError> {
-            let bytes = self
-                .persist_record(key)?
-                .ok_or(SyscallError::NoSuchRecord(key))?;
-            let (rlabel, _) = Self::persist_unframe(key, &bytes)?;
-            self.check_record_modify(&tl, key, &rlabel)?;
-            self.store
-                .as_mut()
-                .expect("persist_record verified the store")
-                .delete(key);
-            Ok(())
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+        let bytes = self
+            .persist_record(key)?
+            .ok_or(SyscallError::NoSuchRecord(key))?;
+        let (rlabel, _) = Self::persist_unframe(key, &bytes)?;
+        self.check_record_modify(&tl, key, &rlabel)?;
+        self.store
+            .as_mut()
+            .expect("persist_record verified the store")
+            .delete(key);
+        Ok(())
     }
 
     /// Range-scans the persist namespace, returning `(key, payload)` for
@@ -1071,7 +1062,7 @@ impl Kernel {
     /// observe are skipped, never partially revealed; keys below the
     /// persist namespace are unreachable through this call by
     /// construction.
-    pub fn sys_persist_scan(
+    pub(crate) fn sys_persist_scan(
         &mut self,
         tid: ObjectId,
         lo: u64,
@@ -1079,69 +1070,67 @@ impl Kernel {
         max: u64,
     ) -> Result<Vec<(u64, Vec<u8>)>, SyscallError> {
         let (tl, _) = self.calling_thread(tid)?;
-        let result = (|| -> Result<Vec<(u64, Vec<u8>)>, SyscallError> {
-            let store = self.store.as_mut().ok_or(SyscallError::NoStore)?;
-            let lo = lo.max(histar_store::PERSIST_KEY_BASE);
-            let keys = store.keys_in_range(lo, hi);
-            let mut raw = Vec::with_capacity(keys.len());
-            for key in keys {
-                match store.get(key) {
-                    Ok(bytes) => raw.push((key, bytes)),
-                    Err(_) => return Err(SyscallError::CorruptRecord(key)),
-                }
+        let store = self.store.as_mut().ok_or(SyscallError::NoStore)?;
+        let lo = lo.max(histar_store::PERSIST_KEY_BASE);
+        let keys = store.keys_in_range(lo, hi);
+        let mut raw = Vec::with_capacity(keys.len());
+        for key in keys {
+            match store.get(key) {
+                Ok(bytes) => raw.push((key, bytes)),
+                Err(_) => return Err(SyscallError::CorruptRecord(key)),
             }
-            let mut out = Vec::new();
-            let mut copied = 0u64;
-            for (key, bytes) in raw {
-                if out.len() as u64 >= max {
-                    break;
-                }
-                let (rlabel, payload) = Self::persist_unframe(key, &bytes)?;
-                if self.check_record_observe(&tl, key, &rlabel).is_err() {
-                    continue;
-                }
-                copied += payload.len() as u64;
-                out.push((key, payload));
+        }
+        let mut out = Vec::new();
+        let mut copied = 0u64;
+        for (key, bytes) in raw {
+            if out.len() as u64 >= max {
+                break;
             }
-            let copy_cost = self.cost.copy(copied);
-            self.charge(copy_cost);
-            Ok(out)
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+            let (rlabel, payload) = Self::persist_unframe(key, &bytes)?;
+            if self.check_record_observe(&tl, key, &rlabel).is_err() {
+                continue;
+            }
+            copied += payload.len() as u64;
+            out.push((key, payload));
+        }
+        let copy_cost = self.cost.copy(copied);
+        self.charge(copy_cost);
+        Ok(out)
     }
 
     /// Makes the named records durable: one sequential write-ahead-log
     /// append per record (§7.1's `fsync` path), batched and applied by the
     /// store.  A key with no record logs a durable *deletion*, so an
     /// unlink followed by a sync cannot resurrect after a crash.
-    pub fn sys_persist_sync(&mut self, tid: ObjectId, keys: &[u64]) -> Result<(), SyscallError> {
+    pub(crate) fn sys_persist_sync(
+        &mut self,
+        tid: ObjectId,
+        keys: Vec<u64>,
+    ) -> Result<(), SyscallError> {
         let (tl, _) = self.calling_thread(tid)?;
-        let result = (|| -> Result<(), SyscallError> {
-            for &key in keys {
-                if !is_persist_key(key) {
-                    return Err(SyscallError::InvalidArgument(
-                        "key outside the persist record namespace",
-                    ));
-                }
-                match self.persist_record(key)? {
-                    Some(bytes) => {
-                        let (rlabel, _) = Self::persist_unframe(key, &bytes)?;
-                        self.check_record_observe(&tl, key, &rlabel)?;
-                        self.store
-                            .as_mut()
-                            .expect("persist_record verified the store")
-                            .sync_object(key);
-                    }
-                    None => self
-                        .store
+        for key in keys {
+            if !is_persist_key(key) {
+                return Err(SyscallError::InvalidArgument(
+                    "key outside the persist record namespace",
+                ));
+            }
+            match self.persist_record(key)? {
+                Some(bytes) => {
+                    let (rlabel, _) = Self::persist_unframe(key, &bytes)?;
+                    self.check_record_observe(&tl, key, &rlabel)?;
+                    self.store
                         .as_mut()
                         .expect("persist_record verified the store")
-                        .sync_delete(key),
+                        .sync_object(key);
                 }
+                None => self
+                    .store
+                    .as_mut()
+                    .expect("persist_record verified the store")
+                    .sync_delete(key),
             }
-            Ok(())
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+        }
+        Ok(())
     }
 
     /// The label a persist record carries.  Like `obj_get_label`, the
@@ -1149,20 +1138,17 @@ impl Kernel {
     /// decisions (e.g. labeling new extents of an existing file), not
     /// protected content.
     // flowcheck: exempt(reads only the record's label, which is the metadata needed to decide labeling; payload stays sealed)
-    pub fn sys_persist_get_label(
+    pub(crate) fn sys_persist_get_label(
         &mut self,
         tid: ObjectId,
         key: u64,
     ) -> Result<Label, SyscallError> {
         self.calling_thread(tid)?;
-        let result = (|| -> Result<Label, SyscallError> {
-            let bytes = self
-                .persist_record(key)?
-                .ok_or(SyscallError::NoSuchRecord(key))?;
-            let (rlabel, _) = Self::persist_unframe(key, &bytes)?;
-            Ok(rlabel)
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+        let bytes = self
+            .persist_record(key)?
+            .ok_or(SyscallError::NoSuchRecord(key))?;
+        let (rlabel, _) = Self::persist_unframe(key, &bytes)?;
+        Ok(rlabel)
     }
 
     fn count_label_check(&mut self, a: &Label, b: &Label, immutable: bool) {
@@ -1354,7 +1340,7 @@ impl Kernel {
     /// `cat_t create_category(void)`: allocates a fresh category, granting
     /// the calling thread ownership (`⋆`) and clearance `3` in it.
     // flowcheck: exempt(allocates a fresh category owned by the caller; touches only the caller's own label and clearance)
-    pub fn sys_create_category(&mut self, tid: ObjectId) -> Result<Category, SyscallError> {
+    pub(crate) fn sys_create_category(&mut self, tid: ObjectId) -> Result<Category, SyscallError> {
         let (label, clearance) = self.calling_thread(tid)?;
         let cat = self.categories.alloc();
         let new_label = label.with(cat, Level::Star);
@@ -1367,15 +1353,16 @@ impl Kernel {
 
     /// `self_set_label(L)`: sets the calling thread's label, subject to
     /// `L_T ⊑ L ⊑ C_T`.
-    pub fn sys_self_set_label(&mut self, tid: ObjectId, new: Label) -> Result<(), SyscallError> {
+    pub(crate) fn sys_self_set_label(
+        &mut self,
+        tid: ObjectId,
+        new: Label,
+    ) -> Result<(), SyscallError> {
         let (label, clearance) = self.calling_thread(tid)?;
         self.stats.label_checks += 2;
         let c = self.cost.label_check(label.len() + new.len(), false);
         self.charge(c);
-        if let Err(e) = label.check_set_label(&clearance, &new) {
-            self.stats.errors += 1;
-            return Err(e.into());
-        }
+        label.check_set_label(&clearance, &new)?;
         let (header, _) = self.thread_mut(tid)?;
         header.label = new;
         Ok(())
@@ -1383,7 +1370,7 @@ impl Kernel {
 
     /// `self_set_clearance(C)`: sets the calling thread's clearance, subject
     /// to `L_T ⊑ C ⊑ (C_T ⊔ L_T^J)`.
-    pub fn sys_self_set_clearance(
+    pub(crate) fn sys_self_set_clearance(
         &mut self,
         tid: ObjectId,
         new: Label,
@@ -1392,10 +1379,7 @@ impl Kernel {
         self.stats.label_checks += 2;
         let c = self.cost.label_check(clearance.len() + new.len(), false);
         self.charge(c);
-        if let Err(e) = label.check_set_clearance(&clearance, &new) {
-            self.stats.errors += 1;
-            return Err(e.into());
-        }
+        label.check_set_clearance(&clearance, &new)?;
         let (_, body) = self.thread_mut(tid)?;
         body.clearance = new;
         Ok(())
@@ -1403,14 +1387,14 @@ impl Kernel {
 
     /// Returns the calling thread's own label.
     // flowcheck: exempt(returns the calling thread's own label; self-observation leaks nothing)
-    pub fn sys_self_get_label(&mut self, tid: ObjectId) -> Result<Label, SyscallError> {
+    pub(crate) fn sys_self_get_label(&mut self, tid: ObjectId) -> Result<Label, SyscallError> {
         let (label, _) = self.calling_thread(tid)?;
         Ok(label)
     }
 
     /// Returns the calling thread's own clearance.
     // flowcheck: exempt(returns the calling thread's own clearance; self-observation leaks nothing)
-    pub fn sys_self_get_clearance(&mut self, tid: ObjectId) -> Result<Label, SyscallError> {
+    pub(crate) fn sys_self_get_clearance(&mut self, tid: ObjectId) -> Result<Label, SyscallError> {
         let (_, clearance) = self.calling_thread(tid)?;
         Ok(clearance)
     }
@@ -1418,12 +1402,12 @@ impl Kernel {
     // ----- containers and quotas (§3.2, §3.3) ----------------------------
 
     /// `container_create(D, L, descrip, avoid_types, quota)`.
-    pub fn sys_container_create(
+    pub(crate) fn sys_container_create(
         &mut self,
         tid: ObjectId,
         parent: ObjectId,
         label: Label,
-        descrip: &str,
+        descrip: String,
         avoid_types: u8,
         quota: u64,
     ) -> Result<ObjectId, SyscallError> {
@@ -1433,168 +1417,151 @@ impl Kernel {
             Some(parent),
             avoid_types,
         ));
-        self.create_object(&tl, &tc, parent, label, quota, descrip, body)
-            .inspect_err(|_| self.stats.errors += 1)
+        self.create_object(&tl, &tc, parent, label, quota, &descrip, body)
     }
 
     /// Unreferences an object from a container; the object is deallocated
     /// when its last link disappears (recursively for containers).
-    pub fn sys_obj_unref(
+    pub(crate) fn sys_obj_unref(
         &mut self,
         tid: ObjectId,
         entry: ContainerEntry,
     ) -> Result<(), SyscallError> {
         let (tl, _) = self.calling_thread(tid)?;
         if entry.object == self.root {
-            self.stats.errors += 1;
             return Err(SyscallError::RootContainer);
         }
-        let result = (|| -> Result<(), SyscallError> {
-            self.check_modify(&tl, entry.container)?;
-            let quota = self.obj(entry.object)?.header.quota;
-            {
-                let cobj = self.obj_mut(entry.container)?;
-                let unlinked = match &mut cobj.body {
-                    ObjectBody::Container(c) => c.unlink(entry.object),
-                    _ => {
-                        return Err(SyscallError::WrongType {
-                            found: cobj.header.object_type,
-                            expected: ObjectType::Container,
-                        })
-                    }
-                };
-                if !unlinked {
-                    return Err(SyscallError::NotInContainer {
-                        container: entry.container,
-                        object: entry.object,
-                    });
+        self.check_modify(&tl, entry.container)?;
+        let quota = self.obj(entry.object)?.header.quota;
+        {
+            let cobj = self.obj_mut(entry.container)?;
+            let unlinked = match &mut cobj.body {
+                ObjectBody::Container(c) => c.unlink(entry.object),
+                _ => {
+                    return Err(SyscallError::WrongType {
+                        found: cobj.header.object_type,
+                        expected: ObjectType::Container,
+                    })
                 }
-                cobj.header.usage = cobj.header.usage.saturating_sub(quota);
-            }
-            let remaining = {
-                let o = self.obj_mut(entry.object)?;
-                o.header.links = o.header.links.saturating_sub(1);
-                o.header.links
             };
-            // The link is severed: every capability handle installed
-            // through it is revoked, so no thread can keep naming the
-            // object along a path that no longer exists.
-            self.revoke_handles_for_entry(entry);
-            if remaining == 0 {
-                self.dealloc(entry.object);
+            if !unlinked {
+                return Err(SyscallError::NotInContainer {
+                    container: entry.container,
+                    object: entry.object,
+                });
             }
-            Ok(())
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+            cobj.header.usage = cobj.header.usage.saturating_sub(quota);
+        }
+        let remaining = {
+            let o = self.obj_mut(entry.object)?;
+            o.header.links = o.header.links.saturating_sub(1);
+            o.header.links
+        };
+        // The link is severed: every capability handle installed
+        // through it is revoked, so no thread can keep naming the
+        // object along a path that no longer exists.
+        self.revoke_handles_for_entry(entry);
+        if remaining == 0 {
+            self.dealloc(entry.object);
+        }
+        Ok(())
     }
 
     /// Adds an additional hard link to an object (`⟨D_src, O⟩` into `D_dst`).
     ///
     /// The thread must be able to write `D_dst`, its clearance must admit
     /// the object's label, and the object's quota must be fixed (§3.3).
-    pub fn sys_hard_link(
+    pub(crate) fn sys_hard_link(
         &mut self,
         tid: ObjectId,
         entry: ContainerEntry,
         dst: ObjectId,
     ) -> Result<(), SyscallError> {
         let (tl, tc) = self.calling_thread(tid)?;
-        let result = (|| -> Result<(), SyscallError> {
-            self.check_entry(&tl, entry)?;
-            self.check_modify(&tl, dst)?;
-            let (olabel, quota, fixed) = {
-                let o = self.obj(entry.object)?;
-                (
-                    o.header.label.clone(),
-                    o.header.quota,
-                    o.header.flags.fixed_quota,
-                )
-            };
-            if !fixed {
-                return Err(SyscallError::QuotaNotFixed(entry.object));
+        self.check_entry(&tl, entry)?;
+        self.check_modify(&tl, dst)?;
+        let (olabel, quota, fixed) = {
+            let o = self.obj(entry.object)?;
+            (
+                o.header.label.clone(),
+                o.header.quota,
+                o.header.flags.fixed_quota,
+            )
+        };
+        if !fixed {
+            return Err(SyscallError::QuotaNotFixed(entry.object));
+        }
+        // Clearance must be high enough to allocate at the object's
+        // label: L_S ⊑ C_T.
+        self.stats.label_checks += 1;
+        if !olabel.leq(&tc) {
+            return Err(SyscallError::Label(
+                histar_label::LabelError::LabelExceedsClearance,
+            ));
+        }
+        // Double-charge the object's quota to the destination container.
+        let (dheader, _) = self.container(dst)?;
+        let available = dheader.quota_remaining();
+        if available != QUOTA_INFINITE && quota > available {
+            return Err(SyscallError::QuotaExceeded {
+                container: dst,
+                requested: quota,
+                available,
+            });
+        }
+        {
+            let dobj = self.obj_mut(dst)?;
+            dobj.header.usage += quota;
+            match &mut dobj.body {
+                ObjectBody::Container(c) => c.link(entry.object),
+                _ => unreachable!("container() checked the type"),
             }
-            // Clearance must be high enough to allocate at the object's
-            // label: L_S ⊑ C_T.
-            self.stats.label_checks += 1;
-            if !olabel.leq(&tc) {
-                return Err(SyscallError::Label(
-                    histar_label::LabelError::LabelExceedsClearance,
-                ));
-            }
-            // Double-charge the object's quota to the destination container.
-            let (dheader, _) = self.container(dst)?;
-            let available = dheader.quota_remaining();
-            if available != QUOTA_INFINITE && quota > available {
-                return Err(SyscallError::QuotaExceeded {
-                    container: dst,
-                    requested: quota,
-                    available,
-                });
-            }
-            {
-                let dobj = self.obj_mut(dst)?;
-                dobj.header.usage += quota;
-                match &mut dobj.body {
-                    ObjectBody::Container(c) => c.link(entry.object),
-                    _ => unreachable!("container() checked the type"),
-                }
-            }
-            self.obj_mut(entry.object)?.header.links += 1;
-            Ok(())
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+        }
+        self.obj_mut(entry.object)?.header.links += 1;
+        Ok(())
     }
 
     /// Returns a container's spare quota (`quota - usage`), or `u64::MAX`
     /// for the root container.  Requires observe access, since the answer
     /// reveals information about the container's contents.
-    pub fn sys_container_quota_avail(
+    pub(crate) fn sys_container_quota_avail(
         &mut self,
         tid: ObjectId,
         container: ObjectId,
     ) -> Result<u64, SyscallError> {
         let (tl, _) = self.calling_thread(tid)?;
-        let result = (|| -> Result<u64, SyscallError> {
-            self.check_observe(&tl, container)?;
-            let (header, _) = self.container(container)?;
-            Ok(header.quota_remaining())
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+        self.check_observe(&tl, container)?;
+        let (header, _) = self.container(container)?;
+        Ok(header.quota_remaining())
     }
 
     /// `container_get_parent(D)`: the parent container of `D`.
-    pub fn sys_container_get_parent(
+    pub(crate) fn sys_container_get_parent(
         &mut self,
         tid: ObjectId,
         container: ObjectId,
     ) -> Result<ObjectId, SyscallError> {
         let (tl, _) = self.calling_thread(tid)?;
-        let result = (|| -> Result<ObjectId, SyscallError> {
-            self.check_observe(&tl, container)?;
-            let (_, body) = self.container(container)?;
-            body.parent.ok_or(SyscallError::RootContainer)
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+        self.check_observe(&tl, container)?;
+        let (_, body) = self.container(container)?;
+        body.parent.ok_or(SyscallError::RootContainer)
     }
 
     /// Lists the object IDs linked into a container (requires read access).
-    pub fn sys_container_list(
+    pub(crate) fn sys_container_list(
         &mut self,
         tid: ObjectId,
         container: ObjectId,
     ) -> Result<Vec<ObjectId>, SyscallError> {
         let (tl, _) = self.calling_thread(tid)?;
-        let result = (|| -> Result<Vec<ObjectId>, SyscallError> {
-            self.check_observe(&tl, container)?;
-            let (_, body) = self.container(container)?;
-            Ok(body.links.clone())
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+        self.check_observe(&tl, container)?;
+        let (_, body) = self.container(container)?;
+        Ok(body.links.clone())
     }
 
     /// `quota_move(D, O, n)`: moves `n` bytes of quota from container `D`
     /// to object `O` (or back, for negative `n`).
-    pub fn sys_quota_move(
+    pub(crate) fn sys_quota_move(
         &mut self,
         tid: ObjectId,
         container: ObjectId,
@@ -1602,56 +1569,53 @@ impl Kernel {
         n: i64,
     ) -> Result<(), SyscallError> {
         let (tl, tc) = self.calling_thread(tid)?;
-        let result = (|| -> Result<(), SyscallError> {
-            self.check_modify(&tl, container)?;
-            let (_, cbody) = self.container(container)?;
-            if !cbody.contains(object) {
-                return Err(SyscallError::NotInContainer { container, object });
+        self.check_modify(&tl, container)?;
+        let (_, cbody) = self.container(container)?;
+        if !cbody.contains(object) {
+            return Err(SyscallError::NotInContainer { container, object });
+        }
+        // L_T ⊑ L_O ⊑ C_T.
+        let olabel = self.obj(object)?.header.label.clone();
+        self.stats.label_checks += 2;
+        tl.can_allocate(&tc, &olabel)?;
+        let (fixed, oquota, ousage) = {
+            let o = self.obj(object)?;
+            (o.header.flags.fixed_quota, o.header.quota, o.header.usage)
+        };
+        if fixed {
+            return Err(SyscallError::QuotaFixed(object));
+        }
+        if n >= 0 {
+            let n = n as u64;
+            let (cheader, _) = self.container(container)?;
+            let available = cheader.quota_remaining();
+            if available != QUOTA_INFINITE && n > available {
+                return Err(SyscallError::QuotaExceeded {
+                    container,
+                    requested: n,
+                    available,
+                });
             }
-            // L_T ⊑ L_O ⊑ C_T.
-            let olabel = self.obj(object)?.header.label.clone();
-            self.stats.label_checks += 2;
-            tl.can_allocate(&tc, &olabel)?;
-            let (fixed, oquota, ousage) = {
-                let o = self.obj(object)?;
-                (o.header.flags.fixed_quota, o.header.quota, o.header.usage)
-            };
-            if fixed {
-                return Err(SyscallError::QuotaFixed(object));
-            }
-            if n >= 0 {
-                let n = n as u64;
-                let (cheader, _) = self.container(container)?;
-                let available = cheader.quota_remaining();
-                if available != QUOTA_INFINITE && n > available {
-                    return Err(SyscallError::QuotaExceeded {
-                        container,
-                        requested: n,
-                        available,
-                    });
-                }
-                self.obj_mut(object)?.header.quota = oquota.saturating_add(n);
-                let c = self.obj_mut(container)?;
-                if c.header.quota != QUOTA_INFINITE {
-                    c.header.usage += n;
-                } else {
-                    c.header.usage = c.header.usage.saturating_add(n);
-                }
+            self.obj_mut(object)?.header.quota = oquota.saturating_add(n);
+            let c = self.obj_mut(container)?;
+            if c.header.quota != QUOTA_INFINITE {
+                c.header.usage += n;
             } else {
-                let take = n.unsigned_abs();
-                // Returning quota reveals whether O has |n| spare bytes, so
-                // the caller must also be able to observe O.
-                self.check_observe(&tl, object)?;
-                if oquota.saturating_sub(ousage) < take {
-                    return Err(SyscallError::QuotaUnderflow(object));
-                }
-                self.obj_mut(object)?.header.quota = oquota - take;
-                let c = self.obj_mut(container)?;
-                c.header.usage = c.header.usage.saturating_sub(take);
+                c.header.usage = c.header.usage.saturating_add(n);
             }
-            Ok(())
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+        } else {
+            let take = n.unsigned_abs();
+            // Returning quota reveals whether O has |n| spare bytes, so
+            // the caller must also be able to observe O.
+            self.check_observe(&tl, object)?;
+            if oquota.saturating_sub(ousage) < take {
+                return Err(SyscallError::QuotaUnderflow(object));
+            }
+            self.obj_mut(object)?.header.quota = oquota - take;
+            let c = self.obj_mut(container)?;
+            c.header.usage = c.header.usage.saturating_sub(take);
+        }
+        Ok(())
     }
 
     // ----- object metadata ------------------------------------------------
@@ -1660,122 +1624,104 @@ impl Kernel {
     ///
     /// For non-thread objects, readability of the container suffices; for
     /// threads, the caller must additionally satisfy `L_{T'}^J ⊑ L_T^J`.
-    pub fn sys_obj_get_label(
+    pub(crate) fn sys_obj_get_label(
         &mut self,
         tid: ObjectId,
         entry: ContainerEntry,
     ) -> Result<Label, SyscallError> {
         let (tl, _) = self.calling_thread(tid)?;
-        let result = (|| -> Result<Label, SyscallError> {
-            self.check_entry(&tl, entry)?;
-            let o = self.obj(entry.object)?;
-            let label = o.header.label.clone();
-            if o.header.object_type == ObjectType::Thread {
-                self.stats.label_checks += 1;
-                if !label.leq_high_both(&tl) {
-                    return Err(SyscallError::CannotObserve(entry.object));
-                }
+        self.check_entry(&tl, entry)?;
+        let o = self.obj(entry.object)?;
+        let label = o.header.label.clone();
+        if o.header.object_type == ObjectType::Thread {
+            self.stats.label_checks += 1;
+            if !label.leq_high_both(&tl) {
+                return Err(SyscallError::CannotObserve(entry.object));
             }
-            Ok(label)
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+        }
+        Ok(label)
     }
 
     /// Reads an object's descriptive string and type through a container
     /// entry.
-    pub fn sys_obj_get_info(
+    pub(crate) fn sys_obj_get_info(
         &mut self,
         tid: ObjectId,
         entry: ContainerEntry,
     ) -> Result<(ObjectType, String, u64), SyscallError> {
         let (tl, _) = self.calling_thread(tid)?;
-        let result = (|| -> Result<(ObjectType, String, u64), SyscallError> {
-            self.check_entry(&tl, entry)?;
-            let o = self.obj(entry.object)?;
-            Ok((
-                o.header.object_type,
-                o.header.descrip.clone(),
-                o.header.quota,
-            ))
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+        self.check_entry(&tl, entry)?;
+        let o = self.obj(entry.object)?;
+        Ok((
+            o.header.object_type,
+            o.header.descrip.clone(),
+            o.header.quota,
+        ))
     }
 
     /// Reads an object's 64-byte metadata area (requires observe).
-    pub fn sys_obj_get_metadata(
+    pub(crate) fn sys_obj_get_metadata(
         &mut self,
         tid: ObjectId,
         entry: ContainerEntry,
     ) -> Result<[u8; METADATA_LEN], SyscallError> {
         let (tl, _) = self.calling_thread(tid)?;
-        let result = (|| -> Result<[u8; METADATA_LEN], SyscallError> {
-            self.check_entry(&tl, entry)?;
-            self.check_observe(&tl, entry.object)?;
-            Ok(self.obj(entry.object)?.header.metadata)
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+        self.check_entry(&tl, entry)?;
+        self.check_observe(&tl, entry.object)?;
+        Ok(self.obj(entry.object)?.header.metadata)
     }
 
     /// Writes an object's 64-byte metadata area (requires modify).
-    pub fn sys_obj_set_metadata(
+    pub(crate) fn sys_obj_set_metadata(
         &mut self,
         tid: ObjectId,
         entry: ContainerEntry,
         metadata: [u8; METADATA_LEN],
     ) -> Result<(), SyscallError> {
         let (tl, _) = self.calling_thread(tid)?;
-        let result = (|| -> Result<(), SyscallError> {
-            self.check_entry(&tl, entry)?;
-            self.check_modify(&tl, entry.object)?;
-            self.obj_mut(entry.object)?.header.metadata = metadata;
-            Ok(())
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+        self.check_entry(&tl, entry)?;
+        self.check_modify(&tl, entry.object)?;
+        self.obj_mut(entry.object)?.header.metadata = metadata;
+        Ok(())
     }
 
     /// Irrevocably marks an object immutable (requires modify first).
-    pub fn sys_obj_set_immutable(
+    pub(crate) fn sys_obj_set_immutable(
         &mut self,
         tid: ObjectId,
         entry: ContainerEntry,
     ) -> Result<(), SyscallError> {
         let (tl, _) = self.calling_thread(tid)?;
-        let result = (|| -> Result<(), SyscallError> {
-            self.check_entry(&tl, entry)?;
-            self.check_modify(&tl, entry.object)?;
-            self.obj_mut(entry.object)?.header.flags.immutable = true;
-            Ok(())
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+        self.check_entry(&tl, entry)?;
+        self.check_modify(&tl, entry.object)?;
+        self.obj_mut(entry.object)?.header.flags.immutable = true;
+        Ok(())
     }
 
     /// Irrevocably fixes an object's quota so it may be hard-linked into
     /// additional containers.
-    pub fn sys_obj_set_fixed_quota(
+    pub(crate) fn sys_obj_set_fixed_quota(
         &mut self,
         tid: ObjectId,
         entry: ContainerEntry,
     ) -> Result<(), SyscallError> {
         let (tl, _) = self.calling_thread(tid)?;
-        let result = (|| -> Result<(), SyscallError> {
-            self.check_entry(&tl, entry)?;
-            self.check_modify(&tl, entry.object)?;
-            self.obj_mut(entry.object)?.header.flags.fixed_quota = true;
-            Ok(())
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+        self.check_entry(&tl, entry)?;
+        self.check_modify(&tl, entry.object)?;
+        self.obj_mut(entry.object)?.header.flags.fixed_quota = true;
+        Ok(())
     }
 
     // ----- segments --------------------------------------------------------
 
     /// Creates a segment of `len` zero bytes in `container`.
-    pub fn sys_segment_create(
+    pub(crate) fn sys_segment_create(
         &mut self,
         tid: ObjectId,
         container: ObjectId,
         label: Label,
         len: u64,
-        descrip: &str,
+        descrip: String,
     ) -> Result<ObjectId, SyscallError> {
         let (tl, tc) = self.calling_thread(tid)?;
         // Zeroing freshly allocated pages is charged explicitly; HiStar has
@@ -1785,57 +1731,53 @@ impl Kernel {
         self.charge(zero_cost);
         let quota = (len.max(1)).div_ceil(PAGE_SIZE) * PAGE_SIZE;
         let body = ObjectBody::Segment(SegmentBody::zeroed(len as usize));
-        self.create_object(&tl, &tc, container, label, quota, descrip, body)
-            .inspect_err(|_| self.stats.errors += 1)
+        self.create_object(&tl, &tc, container, label, quota, &descrip, body)
     }
 
     /// Resizes a segment (zero-filling growth), within its quota.
-    pub fn sys_segment_resize(
+    pub(crate) fn sys_segment_resize(
         &mut self,
         tid: ObjectId,
         entry: ContainerEntry,
         len: u64,
     ) -> Result<(), SyscallError> {
         let (tl, _) = self.calling_thread(tid)?;
-        let result = (|| -> Result<(), SyscallError> {
-            self.check_entry(&tl, entry)?;
-            self.check_modify(&tl, entry.object)?;
-            let grow_pages;
-            {
-                let o = self.obj_mut(entry.object)?;
-                let quota = o.header.quota;
-                match &mut o.body {
-                    ObjectBody::Segment(s) => {
-                        if len > quota {
-                            return Err(SyscallError::QuotaExceeded {
-                                container: entry.container,
-                                requested: len,
-                                available: quota,
-                            });
-                        }
-                        let old = s.len() as u64;
-                        grow_pages = len.saturating_sub(old).div_ceil(PAGE_SIZE);
-                        s.resize(len as usize);
-                        o.header.usage = len;
+        self.check_entry(&tl, entry)?;
+        self.check_modify(&tl, entry.object)?;
+        let grow_pages;
+        {
+            let o = self.obj_mut(entry.object)?;
+            let quota = o.header.quota;
+            match &mut o.body {
+                ObjectBody::Segment(s) => {
+                    if len > quota {
+                        return Err(SyscallError::QuotaExceeded {
+                            container: entry.container,
+                            requested: len,
+                            available: quota,
+                        });
                     }
-                    _ => {
-                        return Err(SyscallError::WrongType {
-                            found: o.header.object_type,
-                            expected: ObjectType::Segment,
-                        })
-                    }
+                    let old = s.len() as u64;
+                    grow_pages = len.saturating_sub(old).div_ceil(PAGE_SIZE);
+                    s.resize(len as usize);
+                    o.header.usage = len;
+                }
+                _ => {
+                    return Err(SyscallError::WrongType {
+                        found: o.header.object_type,
+                        expected: ObjectType::Segment,
+                    })
                 }
             }
-            let zero_cost = self.cost.page_zero * grow_pages;
-            self.charge(zero_cost);
-            Ok(())
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+        }
+        let zero_cost = self.cost.page_zero * grow_pages;
+        self.charge(zero_cost);
+        Ok(())
     }
 
     /// Reads bytes from a segment (models a load through a mapping; the same
     /// label checks as a read page fault apply).
-    pub fn sys_segment_read(
+    pub(crate) fn sys_segment_read(
         &mut self,
         tid: ObjectId,
         entry: ContainerEntry,
@@ -1843,43 +1785,40 @@ impl Kernel {
         len: u64,
     ) -> Result<Vec<u8>, SyscallError> {
         let (tl, _) = self.calling_thread(tid)?;
-        let result = (|| -> Result<Vec<u8>, SyscallError> {
-            let local = self.thread(tid)?.1.local_segment;
-            if local != Some(entry.object) {
-                self.check_entry(&tl, entry)?;
-                self.check_observe(&tl, entry.object)?;
-            }
-            let copy_cost = self.cost.copy(len);
-            self.charge(copy_cost);
-            let o = self.obj(entry.object)?;
-            match &o.body {
-                ObjectBody::Segment(s) => {
-                    let start = offset as usize;
-                    let end = (offset + len) as usize;
-                    if end > s.len() {
-                        return Err(SyscallError::InvalidArgument("read beyond end of segment"));
-                    }
-                    Ok(s.bytes[start..end].to_vec())
+        let local = self.thread(tid)?.1.local_segment;
+        if local != Some(entry.object) {
+            self.check_entry(&tl, entry)?;
+            self.check_observe(&tl, entry.object)?;
+        }
+        let copy_cost = self.cost.copy(len);
+        self.charge(copy_cost);
+        let o = self.obj(entry.object)?;
+        match &o.body {
+            ObjectBody::Segment(s) => {
+                let start = offset as usize;
+                let end = (offset + len) as usize;
+                if end > s.len() {
+                    return Err(SyscallError::InvalidArgument("read beyond end of segment"));
                 }
-                _ => Err(SyscallError::WrongType {
-                    found: o.header.object_type,
-                    expected: ObjectType::Segment,
-                }),
+                Ok(s.bytes[start..end].to_vec())
             }
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+            _ => Err(SyscallError::WrongType {
+                found: o.header.object_type,
+                expected: ObjectType::Segment,
+            }),
+        }
     }
 
     /// Writes bytes into a segment (models a store through a mapping).
     ///
     /// The calling thread's local segment is always writable by that thread,
     /// regardless of its current taint (§3.4).
-    pub fn sys_segment_write(
+    pub(crate) fn sys_segment_write(
         &mut self,
         tid: ObjectId,
         entry: ContainerEntry,
         offset: u64,
-        data: &[u8],
+        data: Vec<u8>,
     ) -> Result<(), SyscallError> {
         let (tl, _) = self.calling_thread(tid)?;
         let result = (|| -> Result<(), SyscallError> {
@@ -1906,7 +1845,7 @@ impl Kernel {
                         s.resize(end as usize);
                         o.header.usage = end;
                     }
-                    s.bytes[offset as usize..end as usize].copy_from_slice(data);
+                    s.bytes[offset as usize..end as usize].copy_from_slice(&data);
                     Ok(())
                 }
                 _ => Err(SyscallError::WrongType {
@@ -1920,193 +1859,174 @@ impl Kernel {
             // make progress (blocked pipe/socket readers and pollers).
             self.notify_watchers(entry.object);
         }
-        result.inspect_err(|_| self.stats.errors += 1)
+        result
     }
 
     /// Returns the length of a segment (requires observe).
-    pub fn sys_segment_len(
+    pub(crate) fn sys_segment_len(
         &mut self,
         tid: ObjectId,
         entry: ContainerEntry,
     ) -> Result<u64, SyscallError> {
         let (tl, _) = self.calling_thread(tid)?;
-        let result = (|| -> Result<u64, SyscallError> {
-            let local = self.thread(tid)?.1.local_segment;
-            if local != Some(entry.object) {
-                self.check_entry(&tl, entry)?;
-                self.check_observe(&tl, entry.object)?;
-            }
-            let o = self.obj(entry.object)?;
-            match &o.body {
-                ObjectBody::Segment(s) => Ok(s.len() as u64),
-                _ => Err(SyscallError::WrongType {
-                    found: o.header.object_type,
-                    expected: ObjectType::Segment,
-                }),
-            }
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+        let local = self.thread(tid)?.1.local_segment;
+        if local != Some(entry.object) {
+            self.check_entry(&tl, entry)?;
+            self.check_observe(&tl, entry.object)?;
+        }
+        let o = self.obj(entry.object)?;
+        match &o.body {
+            ObjectBody::Segment(s) => Ok(s.len() as u64),
+            _ => Err(SyscallError::WrongType {
+                found: o.header.object_type,
+                expected: ObjectType::Segment,
+            }),
+        }
     }
 
     /// Copies a segment into `dst_container` under a (possibly different)
     /// label — the "efficient copies with different labels" of §3, used for
     /// taint-forking address spaces and segments.
-    pub fn sys_segment_copy(
+    pub(crate) fn sys_segment_copy(
         &mut self,
         tid: ObjectId,
         src: ContainerEntry,
         dst_container: ObjectId,
         label: Label,
-        descrip: &str,
+        descrip: String,
     ) -> Result<ObjectId, SyscallError> {
         let (tl, tc) = self.calling_thread(tid)?;
-        let result = (|| -> Result<ObjectId, SyscallError> {
-            self.check_entry(&tl, src)?;
-            self.check_observe(&tl, src.object)?;
-            let bytes = {
-                let o = self.obj(src.object)?;
-                match &o.body {
-                    ObjectBody::Segment(s) => s.bytes.clone(),
-                    _ => {
-                        return Err(SyscallError::WrongType {
-                            found: o.header.object_type,
-                            expected: ObjectType::Segment,
-                        })
-                    }
+        self.check_entry(&tl, src)?;
+        self.check_observe(&tl, src.object)?;
+        let bytes = {
+            let o = self.obj(src.object)?;
+            match &o.body {
+                ObjectBody::Segment(s) => s.bytes.clone(),
+                _ => {
+                    return Err(SyscallError::WrongType {
+                        found: o.header.object_type,
+                        expected: ObjectType::Segment,
+                    })
                 }
-            };
-            let pages = (bytes.len() as u64).div_ceil(PAGE_SIZE);
-            let copy_cost = self.cost.page_copy * pages;
-            self.charge(copy_cost);
-            let quota = (bytes.len().max(1) as u64).div_ceil(PAGE_SIZE) * PAGE_SIZE;
-            let body = ObjectBody::Segment(SegmentBody { bytes });
-            self.create_object(&tl, &tc, dst_container, label, quota, descrip, body)
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+            }
+        };
+        let pages = (bytes.len() as u64).div_ceil(PAGE_SIZE);
+        let copy_cost = self.cost.page_copy * pages;
+        self.charge(copy_cost);
+        let quota = (bytes.len().max(1) as u64).div_ceil(PAGE_SIZE) * PAGE_SIZE;
+        let body = ObjectBody::Segment(SegmentBody { bytes });
+        self.create_object(&tl, &tc, dst_container, label, quota, &descrip, body)
     }
 
     // ----- address spaces (§3.4) -------------------------------------------
 
     /// Creates an empty address space.
-    pub fn sys_as_create(
+    pub(crate) fn sys_as_create(
         &mut self,
         tid: ObjectId,
         container: ObjectId,
         label: Label,
-        descrip: &str,
+        descrip: String,
     ) -> Result<ObjectId, SyscallError> {
         let (tl, tc) = self.calling_thread(tid)?;
         let body = ObjectBody::AddressSpace(AddressSpaceBody::default());
-        self.create_object(&tl, &tc, container, label, PAGE_SIZE, descrip, body)
-            .inspect_err(|_| self.stats.errors += 1)
+        self.create_object(&tl, &tc, container, label, PAGE_SIZE, &descrip, body)
     }
 
     /// Copies an address space (and its mapping list) under a new label —
     /// used when a tainted thread forks a writable copy of its environment.
-    pub fn sys_as_copy(
+    pub(crate) fn sys_as_copy(
         &mut self,
         tid: ObjectId,
         src: ContainerEntry,
         dst_container: ObjectId,
         label: Label,
-        descrip: &str,
+        descrip: String,
     ) -> Result<ObjectId, SyscallError> {
         let (tl, tc) = self.calling_thread(tid)?;
-        let result = (|| -> Result<ObjectId, SyscallError> {
-            self.check_entry(&tl, src)?;
-            self.check_observe(&tl, src.object)?;
-            let mappings = {
-                let o = self.obj(src.object)?;
-                match &o.body {
-                    ObjectBody::AddressSpace(a) => a.mappings.clone(),
-                    _ => {
-                        return Err(SyscallError::WrongType {
-                            found: o.header.object_type,
-                            expected: ObjectType::AddressSpace,
-                        })
-                    }
+        self.check_entry(&tl, src)?;
+        self.check_observe(&tl, src.object)?;
+        let mappings = {
+            let o = self.obj(src.object)?;
+            match &o.body {
+                ObjectBody::AddressSpace(a) => a.mappings.clone(),
+                _ => {
+                    return Err(SyscallError::WrongType {
+                        found: o.header.object_type,
+                        expected: ObjectType::AddressSpace,
+                    })
                 }
-            };
-            let body = ObjectBody::AddressSpace(AddressSpaceBody { mappings });
-            self.create_object(&tl, &tc, dst_container, label, PAGE_SIZE, descrip, body)
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+            }
+        };
+        let body = ObjectBody::AddressSpace(AddressSpaceBody { mappings });
+        self.create_object(&tl, &tc, dst_container, label, PAGE_SIZE, &descrip, body)
     }
 
     /// Adds (or replaces) a mapping in an address space.
-    pub fn sys_as_map(
+    pub(crate) fn sys_as_map(
         &mut self,
         tid: ObjectId,
         aspace: ContainerEntry,
         mapping: Mapping,
     ) -> Result<(), SyscallError> {
         let (tl, _) = self.calling_thread(tid)?;
-        let result = (|| -> Result<(), SyscallError> {
-            self.check_entry(&tl, aspace)?;
-            self.check_modify(&tl, aspace.object)?;
-            if !mapping.va.is_multiple_of(PAGE_SIZE) {
-                return Err(SyscallError::InvalidArgument("va must be page-aligned"));
+        self.check_entry(&tl, aspace)?;
+        self.check_modify(&tl, aspace.object)?;
+        if !mapping.va.is_multiple_of(PAGE_SIZE) {
+            return Err(SyscallError::InvalidArgument("va must be page-aligned"));
+        }
+        let o = self.obj_mut(aspace.object)?;
+        match &mut o.body {
+            ObjectBody::AddressSpace(a) => {
+                a.map(mapping);
+                Ok(())
             }
-            let o = self.obj_mut(aspace.object)?;
-            match &mut o.body {
-                ObjectBody::AddressSpace(a) => {
-                    a.map(mapping);
-                    Ok(())
-                }
-                _ => Err(SyscallError::WrongType {
-                    found: o.header.object_type,
-                    expected: ObjectType::AddressSpace,
-                }),
-            }
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+            _ => Err(SyscallError::WrongType {
+                found: o.header.object_type,
+                expected: ObjectType::AddressSpace,
+            }),
+        }
     }
 
     /// Removes a mapping from an address space.
-    pub fn sys_as_unmap(
+    pub(crate) fn sys_as_unmap(
         &mut self,
         tid: ObjectId,
         aspace: ContainerEntry,
         va: u64,
     ) -> Result<(), SyscallError> {
         let (tl, _) = self.calling_thread(tid)?;
-        let result = (|| -> Result<(), SyscallError> {
-            self.check_entry(&tl, aspace)?;
-            self.check_modify(&tl, aspace.object)?;
-            let o = self.obj_mut(aspace.object)?;
-            match &mut o.body {
-                ObjectBody::AddressSpace(a) => {
-                    a.unmap(va);
-                    Ok(())
-                }
-                _ => Err(SyscallError::WrongType {
-                    found: o.header.object_type,
-                    expected: ObjectType::AddressSpace,
-                }),
+        self.check_entry(&tl, aspace)?;
+        self.check_modify(&tl, aspace.object)?;
+        let o = self.obj_mut(aspace.object)?;
+        match &mut o.body {
+            ObjectBody::AddressSpace(a) => {
+                a.unmap(va);
+                Ok(())
             }
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+            _ => Err(SyscallError::WrongType {
+                found: o.header.object_type,
+                expected: ObjectType::AddressSpace,
+            }),
+        }
     }
 
     /// `self_set_as`: switches the calling thread to a different address
     /// space.
-    pub fn sys_self_set_as(
+    pub(crate) fn sys_self_set_as(
         &mut self,
         tid: ObjectId,
         aspace: ContainerEntry,
     ) -> Result<(), SyscallError> {
         let (tl, _) = self.calling_thread(tid)?;
-        let result = (|| -> Result<(), SyscallError> {
-            self.check_entry(&tl, aspace)?;
-            // Using an address space requires observing it.
-            self.check_observe(&tl, aspace.object)?;
-            self.typed(aspace.object, ObjectType::AddressSpace)?;
-            self.account_context_switch(Some(aspace));
-            let (_, body) = self.thread_mut(tid)?;
-            body.address_space = Some(aspace);
-            Ok(())
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+        self.check_entry(&tl, aspace)?;
+        // Using an address space requires observing it.
+        self.check_observe(&tl, aspace.object)?;
+        self.typed(aspace.object, ObjectType::AddressSpace)?;
+        self.account_context_switch(Some(aspace));
+        let (_, body) = self.thread_mut(tid)?;
+        body.address_space = Some(aspace);
+        Ok(())
     }
 
     fn account_context_switch(&mut self, new_as: Option<ContainerEntry>) {
@@ -2123,7 +2043,7 @@ impl Kernel {
 
     /// Simulates a memory access by the thread at virtual address `va`,
     /// walking its address space exactly as the page-fault handler would.
-    pub fn sys_page_fault(
+    pub(crate) fn sys_page_fault(
         &mut self,
         tid: ObjectId,
         va: u64,
@@ -2133,44 +2053,41 @@ impl Kernel {
         self.stats.page_faults += 1;
         let fault_cost = self.cost.page_fault;
         self.charge(fault_cost);
-        let result = (|| -> Result<PageFaultResolution, SyscallError> {
-            let aspace_entry = self
-                .thread(tid)?
-                .1
-                .address_space
-                .ok_or(SyscallError::PageFault { va, write })?;
-            self.check_observe(&tl, aspace_entry.object)?;
-            let mapping = {
-                let o = self.obj(aspace_entry.object)?;
-                match &o.body {
-                    ObjectBody::AddressSpace(a) => a.lookup(va).copied(),
-                    _ => None,
-                }
-            }
+        let aspace_entry = self
+            .thread(tid)?
+            .1
+            .address_space
             .ok_or(SyscallError::PageFault { va, write })?;
-            if write && !mapping.flags.write || !write && !mapping.flags.read {
+        self.check_observe(&tl, aspace_entry.object)?;
+        let mapping = {
+            let o = self.obj(aspace_entry.object)?;
+            match &o.body {
+                ObjectBody::AddressSpace(a) => a.lookup(va).copied(),
+                _ => None,
+            }
+        }
+        .ok_or(SyscallError::PageFault { va, write })?;
+        if write && !mapping.flags.write || !write && !mapping.flags.read {
+            return Err(SyscallError::PageFault { va, write });
+        }
+        // The kernel checks that T can read D and O; for writes it also
+        // checks that T can modify O.
+        self.check_observe(&tl, mapping.segment.container)
+            .map_err(|_| SyscallError::PageFault { va, write })?;
+        self.check_observe(&tl, mapping.segment.object)
+            .map_err(|_| SyscallError::PageFault { va, write })?;
+        if write {
+            let olabel = self.obj(mapping.segment.object)?.header.label.clone();
+            self.stats.label_checks += 1;
+            if !tl.leq(&olabel) {
                 return Err(SyscallError::PageFault { va, write });
             }
-            // The kernel checks that T can read D and O; for writes it also
-            // checks that T can modify O.
-            self.check_observe(&tl, mapping.segment.container)
-                .map_err(|_| SyscallError::PageFault { va, write })?;
-            self.check_observe(&tl, mapping.segment.object)
-                .map_err(|_| SyscallError::PageFault { va, write })?;
-            if write {
-                let olabel = self.obj(mapping.segment.object)?.header.label.clone();
-                self.stats.label_checks += 1;
-                if !tl.leq(&olabel) {
-                    return Err(SyscallError::PageFault { va, write });
-                }
-            }
-            Ok(PageFaultResolution {
-                segment: mapping.segment,
-                offset: mapping.offset + (va - mapping.va),
-                writable: mapping.flags.write,
-            })
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+        }
+        Ok(PageFaultResolution {
+            segment: mapping.segment,
+            offset: mapping.offset + (va - mapping.va),
+            writable: mapping.flags.write,
+        })
     }
 
     // ----- threads ---------------------------------------------------------
@@ -2181,49 +2098,46 @@ impl Kernel {
     /// The new thread gets a one-page thread-local segment in the same
     /// container.
     #[allow(clippy::too_many_arguments)]
-    pub fn sys_thread_create(
+    pub(crate) fn sys_thread_create(
         &mut self,
         tid: ObjectId,
         container: ObjectId,
         label: Label,
         clearance: Label,
         entry_point: u64,
-        descrip: &str,
+        descrip: String,
     ) -> Result<ObjectId, SyscallError> {
         let (tl, tc) = self.calling_thread(tid)?;
-        let result = (|| -> Result<ObjectId, SyscallError> {
-            self.stats.label_checks += 3;
-            tl.check_spawn(&tc, &label, &clearance)?;
-            let mut thread_body = ThreadBody::new(clearance);
-            thread_body.entry_point = entry_point;
-            // Inherit the parent's address space by default.
-            thread_body.address_space = self.thread(tid)?.1.address_space;
-            let new_tid = self.create_object(
-                &tl,
-                &tc,
-                container,
-                label.clone(),
-                PAGE_SIZE,
-                descrip,
-                ObjectBody::Thread(thread_body),
-            )?;
-            // Thread-local segment: one page, private to the thread.
-            let local_label = label.drop_ownership(Level::L1);
-            let local = self.create_object(
-                &tl,
-                &tc,
-                container,
-                local_label,
-                PAGE_SIZE,
-                &format!("tls:{descrip}"),
-                ObjectBody::Segment(SegmentBody::zeroed(PAGE_SIZE as usize)),
-            )?;
-            if let Ok((_, body)) = self.thread_mut(new_tid) {
-                body.local_segment = Some(local);
-            }
-            Ok(new_tid)
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+        self.stats.label_checks += 3;
+        tl.check_spawn(&tc, &label, &clearance)?;
+        let mut thread_body = ThreadBody::new(clearance);
+        thread_body.entry_point = entry_point;
+        // Inherit the parent's address space by default.
+        thread_body.address_space = self.thread(tid)?.1.address_space;
+        let new_tid = self.create_object(
+            &tl,
+            &tc,
+            container,
+            label.clone(),
+            PAGE_SIZE,
+            &descrip,
+            ObjectBody::Thread(thread_body),
+        )?;
+        // Thread-local segment: one page, private to the thread.
+        let local_label = label.drop_ownership(Level::L1);
+        let local = self.create_object(
+            &tl,
+            &tc,
+            container,
+            local_label,
+            PAGE_SIZE,
+            &format!("tls:{descrip}"),
+            ObjectBody::Segment(SegmentBody::zeroed(PAGE_SIZE as usize)),
+        )?;
+        if let Ok((_, body)) = self.thread_mut(new_tid) {
+            body.local_segment = Some(local);
+        }
+        Ok(new_tid)
     }
 
     /// Bootstrap path: creates the first thread of the machine without a
@@ -2286,7 +2200,10 @@ impl Kernel {
 
     /// The calling thread's thread-local segment.
     // flowcheck: exempt(returns the id of the caller's own thread-local segment; self-only metadata)
-    pub fn sys_self_local_segment(&mut self, tid: ObjectId) -> Result<ObjectId, SyscallError> {
+    pub(crate) fn sys_self_local_segment(
+        &mut self,
+        tid: ObjectId,
+    ) -> Result<ObjectId, SyscallError> {
         self.calling_thread(tid)?;
         self.thread(tid)?
             .1
@@ -2296,7 +2213,7 @@ impl Kernel {
 
     /// Halts the calling thread; it can never run (or make syscalls) again.
     // flowcheck: exempt(halts the calling thread itself; a thread may always give up its own CPU)
-    pub fn sys_self_halt(&mut self, tid: ObjectId) -> Result<(), SyscallError> {
+    pub(crate) fn sys_self_halt(&mut self, tid: ObjectId) -> Result<(), SyscallError> {
         self.calling_thread(tid)?;
         let (_, body) = self.thread_mut(tid)?;
         body.state = ThreadState::Halted;
@@ -2305,55 +2222,55 @@ impl Kernel {
 
     /// Sends an alert to another thread: the caller must be able to write
     /// the target's address space and observe the target (§3.4).
-    pub fn sys_thread_alert(
+    pub(crate) fn sys_thread_alert(
         &mut self,
         tid: ObjectId,
         target: ContainerEntry,
         code: u64,
     ) -> Result<(), SyscallError> {
         let (tl, _) = self.calling_thread(tid)?;
-        let result = (|| -> Result<(), SyscallError> {
-            self.check_entry(&tl, target)?;
-            let target_as = {
-                let (_, tbody) = self.thread(target.object)?;
-                tbody.address_space
-            };
-            if let Some(aspace) = target_as {
-                self.check_modify(&tl, aspace.object)?;
-            } else {
-                return Err(SyscallError::InvalidArgument(
-                    "target thread has no address space",
-                ));
-            }
-            // The alert also lets the target learn something about the
-            // sender, so the sender must be allowed to convey information to
-            // it: L_T ⊑ L_{T'}^J.
-            let target_label = self.obj(target.object)?.header.label.clone();
-            self.stats.label_checks += 1;
-            if !tl.leq_high_rhs(&target_label) {
-                return Err(SyscallError::CannotModify(target.object));
-            }
-            let (_, body) = self.thread_mut(target.object)?;
-            body.pending_alerts.push(Alert { code });
-            body.wake_flags |= WAKE_ALERT;
-            // The alert is also announced on the target's completion
-            // queue, so a thread blocked on an empty queue wakes without
-            // polling `self_take_alert` every quantum.
-            self.push_completion(
-                target.object,
-                Completion {
-                    user_data: KERNEL_USER_DATA,
-                    kind: CompletionKind::AlertPending { code },
-                },
-            );
-            Ok(())
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+        self.check_entry(&tl, target)?;
+        let target_as = {
+            let (_, tbody) = self.thread(target.object)?;
+            tbody.address_space
+        };
+        if let Some(aspace) = target_as {
+            self.check_modify(&tl, aspace.object)?;
+        } else {
+            return Err(SyscallError::InvalidArgument(
+                "target thread has no address space",
+            ));
+        }
+        // The alert also lets the target learn something about the
+        // sender, so the sender must be allowed to convey information to
+        // it: L_T ⊑ L_{T'}^J.
+        let target_label = self.obj(target.object)?.header.label.clone();
+        self.stats.label_checks += 1;
+        if !tl.leq_high_rhs(&target_label) {
+            return Err(SyscallError::CannotModify(target.object));
+        }
+        let (_, body) = self.thread_mut(target.object)?;
+        body.pending_alerts.push(Alert { code });
+        body.wake_flags |= WAKE_ALERT;
+        // The alert is also announced on the target's completion
+        // queue, so a thread blocked on an empty queue wakes without
+        // polling `self_take_alert` every quantum.
+        self.push_completion(
+            target.object,
+            Completion {
+                user_data: KERNEL_USER_DATA,
+                kind: CompletionKind::AlertPending { code },
+            },
+        );
+        Ok(())
     }
 
     /// Removes and returns the oldest pending alert for the calling thread.
     // flowcheck: exempt(pops the caller's own alert queue; alerts were label-checked when posted by thread_alert)
-    pub fn sys_self_take_alert(&mut self, tid: ObjectId) -> Result<Option<Alert>, SyscallError> {
+    pub(crate) fn sys_self_take_alert(
+        &mut self,
+        tid: ObjectId,
+    ) -> Result<Option<Alert>, SyscallError> {
         self.calling_thread(tid)?;
         let (_, body) = self.thread_mut(tid)?;
         if body.pending_alerts.is_empty() {
@@ -2382,7 +2299,7 @@ impl Kernel {
     }
 
     /// Reads another thread's label, subject to `L_{T'}^J ⊑ L_T^J`.
-    pub fn sys_thread_get_label(
+    pub(crate) fn sys_thread_get_label(
         &mut self,
         tid: ObjectId,
         target: ContainerEntry,
@@ -2395,7 +2312,7 @@ impl Kernel {
     /// Creates a gate.  The gate's label (which may contain `⋆`) and
     /// clearance must satisfy `L_T ⊑ L_G ⊑ C_G ⊑ C_T`.
     #[allow(clippy::too_many_arguments)]
-    pub fn sys_gate_create(
+    pub(crate) fn sys_gate_create(
         &mut self,
         tid: ObjectId,
         container: ObjectId,
@@ -2404,40 +2321,37 @@ impl Kernel {
         address_space: Option<ContainerEntry>,
         entry_point: u64,
         closure_args: Vec<u64>,
-        descrip: &str,
+        descrip: String,
     ) -> Result<ObjectId, SyscallError> {
         let (tl, tc) = self.calling_thread(tid)?;
-        let result = (|| -> Result<ObjectId, SyscallError> {
-            self.stats.label_checks += 3;
-            if !tl.leq(&label) {
-                return Err(SyscallError::Label(
-                    histar_label::LabelError::LabelNotMonotonic,
-                ));
-            }
-            if !label.leq(&clearance) {
-                return Err(SyscallError::Label(
-                    histar_label::LabelError::ClearanceBelowLabel,
-                ));
-            }
-            if !clearance.leq(&tc) {
-                return Err(SyscallError::Label(
-                    histar_label::LabelError::LabelExceedsClearance,
-                ));
-            }
-            let mut gate = GateBody::new(clearance, entry_point);
-            gate.address_space = address_space;
-            gate.closure_args = closure_args;
-            self.create_object(
-                &tl,
-                &tc,
-                container,
-                label,
-                PAGE_SIZE,
-                descrip,
-                ObjectBody::Gate(gate),
-            )
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+        self.stats.label_checks += 3;
+        if !tl.leq(&label) {
+            return Err(SyscallError::Label(
+                histar_label::LabelError::LabelNotMonotonic,
+            ));
+        }
+        if !label.leq(&clearance) {
+            return Err(SyscallError::Label(
+                histar_label::LabelError::ClearanceBelowLabel,
+            ));
+        }
+        if !clearance.leq(&tc) {
+            return Err(SyscallError::Label(
+                histar_label::LabelError::LabelExceedsClearance,
+            ));
+        }
+        let mut gate = GateBody::new(clearance, entry_point);
+        gate.address_space = address_space;
+        gate.closure_args = closure_args;
+        self.create_object(
+            &tl,
+            &tc,
+            container,
+            label,
+            PAGE_SIZE,
+            &descrip,
+            ObjectBody::Gate(gate),
+        )
     }
 
     /// Invokes a gate.  The calling thread specifies the label `requested`
@@ -2446,7 +2360,7 @@ impl Kernel {
     ///
     /// Permitted when `L_T ⊑ C_G`, `L_T ⊑ L_V`, and
     /// `(L_T^J ⊔ L_G^J)^⋆ ⊑ L_R ⊑ C_R ⊑ (C_T ⊔ C_G)`.
-    pub fn sys_gate_enter(
+    pub(crate) fn sys_gate_enter(
         &mut self,
         tid: ObjectId,
         gate: ContainerEntry,
@@ -2455,84 +2369,78 @@ impl Kernel {
         verify: Label,
     ) -> Result<GateEntryResult, SyscallError> {
         let (tl, tc) = self.calling_thread(tid)?;
-        let result = (|| -> Result<GateEntryResult, SyscallError> {
-            self.check_entry(&tl, gate)?;
-            let (glabel, gclearance, gbody) = {
-                let o = self.typed(gate.object, ObjectType::Gate)?;
-                match &o.body {
-                    ObjectBody::Gate(g) => (o.header.label.clone(), g.clearance.clone(), g.clone()),
-                    _ => unreachable!("typed() checked the object type"),
-                }
-            };
-            self.stats.label_checks += 5;
-            let lc = self.cost.label_check(tl.len() + glabel.len(), false);
-            self.charge(lc);
-            if !tl.leq(&gclearance) {
-                return Err(SyscallError::GateClearance(gate.object));
+        self.check_entry(&tl, gate)?;
+        let (glabel, gclearance, gbody) = {
+            let o = self.typed(gate.object, ObjectType::Gate)?;
+            match &o.body {
+                ObjectBody::Gate(g) => (o.header.label.clone(), g.clearance.clone(), g.clone()),
+                _ => unreachable!("typed() checked the object type"),
             }
-            if !tl.leq(&verify) {
-                return Err(SyscallError::VerifyLabel);
-            }
-            let floor = tl.ownership_union(&glabel);
-            if !floor.leq(&requested) {
-                return Err(SyscallError::Label(
-                    histar_label::LabelError::LabelNotMonotonic,
-                ));
-            }
-            if !requested.leq(&requested_clearance) {
-                return Err(SyscallError::Label(
-                    histar_label::LabelError::ClearanceBelowLabel,
-                ));
-            }
-            let clearance_bound = tc.lub(&gclearance);
-            if !requested_clearance.leq(&clearance_bound) {
-                return Err(SyscallError::Label(
-                    histar_label::LabelError::LabelExceedsClearance,
-                ));
-            }
+        };
+        self.stats.label_checks += 5;
+        let lc = self.cost.label_check(tl.len() + glabel.len(), false);
+        self.charge(lc);
+        if !tl.leq(&gclearance) {
+            return Err(SyscallError::GateClearance(gate.object));
+        }
+        if !tl.leq(&verify) {
+            return Err(SyscallError::VerifyLabel);
+        }
+        let floor = tl.ownership_union(&glabel);
+        if !floor.leq(&requested) {
+            return Err(SyscallError::Label(
+                histar_label::LabelError::LabelNotMonotonic,
+            ));
+        }
+        if !requested.leq(&requested_clearance) {
+            return Err(SyscallError::Label(
+                histar_label::LabelError::ClearanceBelowLabel,
+            ));
+        }
+        let clearance_bound = tc.lub(&gclearance);
+        if !requested_clearance.leq(&clearance_bound) {
+            return Err(SyscallError::Label(
+                histar_label::LabelError::LabelExceedsClearance,
+            ));
+        }
 
-            self.stats.gate_invocations += 1;
-            let gate_cost = self.cost.gate_overhead;
-            self.charge(gate_cost);
-            self.account_context_switch(gbody.address_space);
+        self.stats.gate_invocations += 1;
+        let gate_cost = self.cost.gate_overhead;
+        self.charge(gate_cost);
+        self.account_context_switch(gbody.address_space);
 
-            {
-                let (header, body) = self.thread_mut(tid)?;
-                header.label = requested.clone();
-                body.clearance = requested_clearance.clone();
-                if gbody.address_space.is_some() {
-                    body.address_space = gbody.address_space;
-                }
-                body.entry_point = gbody.entry_point;
+        {
+            let (header, body) = self.thread_mut(tid)?;
+            header.label = requested.clone();
+            body.clearance = requested_clearance.clone();
+            if gbody.address_space.is_some() {
+                body.address_space = gbody.address_space;
             }
-            Ok(GateEntryResult {
-                label: requested,
-                clearance: requested_clearance,
-                address_space: gbody.address_space,
-                entry_point: gbody.entry_point,
-                stack_pointer: gbody.stack_pointer,
-                closure_args: gbody.closure_args,
-            })
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+            body.entry_point = gbody.entry_point;
+        }
+        Ok(GateEntryResult {
+            label: requested,
+            clearance: requested_clearance,
+            address_space: gbody.address_space,
+            entry_point: gbody.entry_point,
+            stack_pointer: gbody.stack_pointer,
+            closure_args: gbody.closure_args,
+        })
     }
 
     /// Reads a gate's clearance (for callers deciding how to invoke it).
-    pub fn sys_gate_clearance(
+    pub(crate) fn sys_gate_clearance(
         &mut self,
         tid: ObjectId,
         gate: ContainerEntry,
     ) -> Result<Label, SyscallError> {
         let (tl, _) = self.calling_thread(tid)?;
-        let result = (|| -> Result<Label, SyscallError> {
-            self.check_entry(&tl, gate)?;
-            let o = self.typed(gate.object, ObjectType::Gate)?;
-            match &o.body {
-                ObjectBody::Gate(g) => Ok(g.clearance.clone()),
-                _ => unreachable!("typed() checked the object type"),
-            }
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+        self.check_entry(&tl, gate)?;
+        let o = self.typed(gate.object, ObjectType::Gate)?;
+        match &o.body {
+            ObjectBody::Gate(g) => Ok(g.clearance.clone()),
+            _ => unreachable!("typed() checked the object type"),
+        }
     }
 
     // ----- category translation (exporter support) ---------------------------
@@ -2547,45 +2455,42 @@ impl Kernel {
     /// Bindings are write-once; rebinding to a different name (or binding a
     /// second local category to an already-claimed name) is refused, which
     /// guarantees that translation is a partial bijection.
-    pub fn sys_category_bind_remote(
+    pub(crate) fn sys_category_bind_remote(
         &mut self,
         tid: ObjectId,
         category: Category,
         name: RemoteCategoryName,
     ) -> Result<(), SyscallError> {
         let (tl, _) = self.calling_thread(tid)?;
-        let result = (|| -> Result<(), SyscallError> {
-            if !tl.owns(category) {
-                return Err(SyscallError::NotCategoryOwner(category));
+        if !tl.owns(category) {
+            return Err(SyscallError::NotCategoryOwner(category));
+        }
+        match self.remote_bindings.get(&category) {
+            Some(existing) if *existing == name => return Ok(()), // idempotent
+            Some(_) => {
+                return Err(SyscallError::InvalidArgument(
+                    "category is already bound to a different global name",
+                ))
             }
-            match self.remote_bindings.get(&category) {
-                Some(existing) if *existing == name => return Ok(()), // idempotent
-                Some(_) => {
-                    return Err(SyscallError::InvalidArgument(
-                        "category is already bound to a different global name",
-                    ))
-                }
-                None => {}
+            None => {}
+        }
+        if let Some(other) = self.remote_index.get(&name) {
+            if *other != category {
+                return Err(SyscallError::InvalidArgument(
+                    "global name is already bound to a different category",
+                ));
             }
-            if let Some(other) = self.remote_index.get(&name) {
-                if *other != category {
-                    return Err(SyscallError::InvalidArgument(
-                        "global name is already bound to a different category",
-                    ));
-                }
-            }
-            self.remote_bindings.insert(category, name);
-            self.remote_index.insert(name, category);
-            Ok(())
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+        }
+        self.remote_bindings.insert(category, name);
+        self.remote_index.insert(name, category);
+        Ok(())
     }
 
     /// Looks up a category's global name.  Global names are self-certifying
     /// and deliberately public (they are what appears on the wire), so no
     /// label check is needed beyond the calling thread being runnable.
     // flowcheck: exempt(global names are self-certifying public handles; the binding table carries no payload)
-    pub fn sys_category_get_remote(
+    pub(crate) fn sys_category_get_remote(
         &mut self,
         tid: ObjectId,
         category: Category,
@@ -2596,7 +2501,7 @@ impl Kernel {
 
     /// Resolves a global name back to the local category bound to it.
     // flowcheck: exempt(reverse lookup of a self-certifying public name; the binding table carries no payload)
-    pub fn sys_category_resolve_remote(
+    pub(crate) fn sys_category_resolve_remote(
         &mut self,
         tid: ObjectId,
         name: RemoteCategoryName,
@@ -2662,77 +2567,68 @@ impl Kernel {
     }
 
     /// Returns the MAC address of a network device (requires observe).
-    pub fn sys_net_mac(
+    pub(crate) fn sys_net_mac(
         &mut self,
         tid: ObjectId,
         device: ContainerEntry,
     ) -> Result<[u8; 6], SyscallError> {
         let (tl, _) = self.calling_thread(tid)?;
-        let result = (|| -> Result<[u8; 6], SyscallError> {
-            self.check_entry(&tl, device)?;
-            self.check_observe(&tl, device.object)?;
-            let o = self.typed(device.object, ObjectType::Device)?;
-            match &o.body {
-                ObjectBody::Device(d) => Ok(d.mac),
-                _ => unreachable!("typed() checked the object type"),
-            }
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+        self.check_entry(&tl, device)?;
+        self.check_observe(&tl, device.object)?;
+        let o = self.typed(device.object, ObjectType::Device)?;
+        match &o.body {
+            ObjectBody::Device(d) => Ok(d.mac),
+            _ => unreachable!("typed() checked the object type"),
+        }
     }
 
     /// Queues a frame for transmission (requires modify on the device).
-    pub fn sys_net_transmit(
+    pub(crate) fn sys_net_transmit(
         &mut self,
         tid: ObjectId,
         device: ContainerEntry,
         frame: Vec<u8>,
     ) -> Result<(), SyscallError> {
         let (tl, _) = self.calling_thread(tid)?;
-        let result = (|| -> Result<(), SyscallError> {
-            self.check_entry(&tl, device)?;
-            self.check_modify(&tl, device.object)?;
-            let o = self.obj_mut(device.object)?;
-            match &mut o.body {
-                ObjectBody::Device(d) => {
-                    d.tx_queue.push(frame);
-                    Ok(())
-                }
-                _ => Err(SyscallError::WrongType {
-                    found: o.header.object_type,
-                    expected: ObjectType::Device,
-                }),
+        self.check_entry(&tl, device)?;
+        self.check_modify(&tl, device.object)?;
+        let o = self.obj_mut(device.object)?;
+        match &mut o.body {
+            ObjectBody::Device(d) => {
+                d.tx_queue.push(frame);
+                Ok(())
             }
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+            _ => Err(SyscallError::WrongType {
+                found: o.header.object_type,
+                expected: ObjectType::Device,
+            }),
+        }
     }
 
     /// Takes the next received frame, if any (requires modify on the device,
     /// since consuming a frame changes its state).
-    pub fn sys_net_receive(
+    pub(crate) fn sys_net_receive(
         &mut self,
         tid: ObjectId,
         device: ContainerEntry,
     ) -> Result<Option<Vec<u8>>, SyscallError> {
         let (tl, _) = self.calling_thread(tid)?;
-        let result = (|| -> Result<Option<Vec<u8>>, SyscallError> {
-            self.check_entry(&tl, device)?;
-            self.check_modify(&tl, device.object)?;
-            let o = self.obj_mut(device.object)?;
-            match &mut o.body {
-                ObjectBody::Device(d) => {
-                    if d.rx_queue.is_empty() {
-                        Ok(None)
-                    } else {
-                        Ok(Some(d.rx_queue.remove(0)))
-                    }
+        self.check_entry(&tl, device)?;
+        self.check_modify(&tl, device.object)?;
+        let o = self.obj_mut(device.object)?;
+        match &mut o.body {
+            ObjectBody::Device(d) => {
+                if d.rx_queue.is_empty() {
+                    Ok(None)
+                } else {
+                    Ok(Some(d.rx_queue.remove(0)))
                 }
-                _ => Err(SyscallError::WrongType {
-                    found: o.header.object_type,
-                    expected: ObjectType::Device,
-                }),
             }
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+            _ => Err(SyscallError::WrongType {
+                found: o.header.object_type,
+                expected: ObjectType::Device,
+            }),
+        }
     }
 
     /// Simulation hook (not a system call): delivers a frame "from the
@@ -2876,10 +2772,10 @@ mod tests {
         let (mut k, tid) = boot();
         let root = k.root_container();
         let seg = k
-            .sys_segment_create(tid, root, Label::unrestricted(), 100, "data")
+            .sys_segment_create(tid, root, Label::unrestricted(), 100, "data".into())
             .unwrap();
         let e = entry(&k, seg);
-        k.sys_segment_write(tid, e, 10, b"hello").unwrap();
+        k.sys_segment_write(tid, e, 10, b"hello".to_vec()).unwrap();
         assert_eq!(k.sys_segment_read(tid, e, 10, 5).unwrap(), b"hello");
         assert_eq!(k.sys_segment_len(tid, e).unwrap(), 100);
         k.sys_segment_resize(tid, e, 200).unwrap();
@@ -2896,7 +2792,7 @@ mod tests {
         let c = k.sys_create_category(tid).unwrap();
         let secret_label = Label::builder().set(c, Level::L3).build();
         let seg = k
-            .sys_segment_create(tid, root, secret_label, 10, "secret")
+            .sys_segment_create(tid, root, secret_label, 10, "secret".into())
             .unwrap();
         let e = entry(&k, seg);
         // The owner can read it.
@@ -2910,7 +2806,7 @@ mod tests {
                 Label::unrestricted(),
                 Label::default_clearance(),
                 0,
-                "other",
+                "other".into(),
             )
             .unwrap();
         assert_eq!(
@@ -2932,11 +2828,11 @@ mod tests {
         // {c0, 1}: only owners of c may modify.
         let protected = Label::builder().set(c, Level::L0).build();
         let seg = k
-            .sys_segment_create(tid, root, protected, 10, "protected")
+            .sys_segment_create(tid, root, protected, 10, "protected".into())
             .unwrap();
         let e = entry(&k, seg);
         // The owner can write.
-        k.sys_segment_write(tid, e, 0, b"x").unwrap();
+        k.sys_segment_write(tid, e, 0, b"x".to_vec()).unwrap();
         // An unprivileged thread can read but not write.
         let other = k
             .sys_thread_create(
@@ -2945,12 +2841,12 @@ mod tests {
                 Label::unrestricted(),
                 Label::default_clearance(),
                 0,
-                "other",
+                "other".into(),
             )
             .unwrap();
         assert!(k.sys_segment_read(other, e, 0, 1).is_ok());
         assert_eq!(
-            k.sys_segment_write(other, e, 0, b"y"),
+            k.sys_segment_write(other, e, 0, b"y".to_vec()),
             Err(SyscallError::CannotModify(seg))
         );
     }
@@ -2960,10 +2856,10 @@ mod tests {
         let (mut k, tid) = boot();
         let root = k.root_container();
         let dir = k
-            .sys_container_create(tid, root, Label::unrestricted(), "dir", 0, 1 << 20)
+            .sys_container_create(tid, root, Label::unrestricted(), "dir".into(), 0, 1 << 20)
             .unwrap();
         let seg = k
-            .sys_segment_create(tid, dir, Label::unrestricted(), 4096, "file")
+            .sys_segment_create(tid, dir, Label::unrestricted(), 4096, "file".into())
             .unwrap();
         assert_eq!(k.sys_container_get_parent(tid, dir).unwrap(), root);
         assert!(k.sys_container_list(tid, dir).unwrap().contains(&seg));
@@ -2979,22 +2875,22 @@ mod tests {
         let (mut k, tid) = boot();
         let root = k.root_container();
         let small = k
-            .sys_container_create(tid, root, Label::unrestricted(), "small", 0, 8192)
+            .sys_container_create(tid, root, Label::unrestricted(), "small".into(), 0, 8192)
             .unwrap();
         // A 4-KiB segment fits.
         let _seg = k
-            .sys_segment_create(tid, small, Label::unrestricted(), 4096, "a")
+            .sys_segment_create(tid, small, Label::unrestricted(), 4096, "a".into())
             .unwrap();
         // Another 8-KiB segment does not.
         assert!(matches!(
-            k.sys_segment_create(tid, small, Label::unrestricted(), 8192, "b"),
+            k.sys_segment_create(tid, small, Label::unrestricted(), 8192, "b".into()),
             Err(SyscallError::QuotaExceeded { .. })
         ));
         // Moving quota into the container's child makes room... first grow
         // the container itself from the root.
         k.sys_quota_move(tid, root, small, 8192).unwrap();
         assert!(k
-            .sys_segment_create(tid, small, Label::unrestricted(), 8192, "b")
+            .sys_segment_create(tid, small, Label::unrestricted(), 8192, "b".into())
             .is_ok());
     }
 
@@ -3007,13 +2903,20 @@ mod tests {
                 tid,
                 root,
                 Label::unrestricted(),
-                "nothreads",
+                "nothreads".into(),
                 ObjectType::Thread.mask_bit(),
                 1 << 20,
             )
             .unwrap();
         let sub = k
-            .sys_container_create(tid, no_threads, Label::unrestricted(), "sub", 0, 1 << 16)
+            .sys_container_create(
+                tid,
+                no_threads,
+                Label::unrestricted(),
+                "sub".into(),
+                0,
+                1 << 16,
+            )
             .unwrap();
         assert!(matches!(
             k.sys_thread_create(
@@ -3022,13 +2925,13 @@ mod tests {
                 Label::unrestricted(),
                 Label::default_clearance(),
                 0,
-                "t"
+                "t".into()
             ),
             Err(SyscallError::TypeForbidden(ObjectType::Thread))
         ));
         // Segments are still allowed.
         assert!(k
-            .sys_segment_create(tid, sub, Label::unrestricted(), 16, "s")
+            .sys_segment_create(tid, sub, Label::unrestricted(), 16, "s".into())
             .is_ok());
     }
 
@@ -3039,7 +2942,7 @@ mod tests {
         // Clearance above the parent's clearance is rejected.
         let too_high = Label::new(Level::L3);
         assert!(k
-            .sys_thread_create(tid, root, Label::unrestricted(), too_high, 0, "t")
+            .sys_thread_create(tid, root, Label::unrestricted(), too_high, 0, "t".into())
             .is_err());
         // A properly bounded child works and inherits the address space.
         let child = k
@@ -3049,7 +2952,7 @@ mod tests {
                 Label::unrestricted(),
                 Label::default_clearance(),
                 7,
-                "child",
+                "child".into(),
             )
             .unwrap();
         assert_eq!(k.thread_label(child).unwrap(), Label::unrestricted());
@@ -3060,10 +2963,10 @@ mod tests {
         let (mut k, tid) = boot();
         let root = k.root_container();
         let seg = k
-            .sys_segment_create(tid, root, Label::unrestricted(), 8192, "text")
+            .sys_segment_create(tid, root, Label::unrestricted(), 8192, "text".into())
             .unwrap();
         let aspace = k
-            .sys_as_create(tid, root, Label::unrestricted(), "as")
+            .sys_as_create(tid, root, Label::unrestricted(), "as".into())
             .unwrap();
         let ae = entry(&k, aspace);
         k.sys_as_map(
@@ -3119,7 +3022,7 @@ mod tests {
                 Label::unrestricted(),
                 Label::default_clearance(),
                 0,
-                "daemon",
+                "daemon".into(),
             )
             .unwrap();
         let d = k.sys_create_category(daemon).unwrap();
@@ -3133,7 +3036,7 @@ mod tests {
                 None,
                 0xdead,
                 vec![1, 2, 3],
-                "service",
+                "service".into(),
             )
             .unwrap();
 
@@ -3145,7 +3048,7 @@ mod tests {
                 Label::unrestricted(),
                 Label::default_clearance(),
                 0,
-                "client",
+                "client".into(),
             )
             .unwrap();
         let requested = Label::builder().own(d).build();
@@ -3172,7 +3075,7 @@ mod tests {
                 Label::unrestricted(),
                 Label::default_clearance(),
                 0,
-                "client2",
+                "client2".into(),
             )
             .unwrap();
         assert!(k
@@ -3210,7 +3113,7 @@ mod tests {
                 None,
                 1,
                 vec![],
-                "guarded",
+                "guarded".into(),
             )
             .unwrap();
         // A thread without d cannot invoke it (its label {1} ⋢ {d0,2}).
@@ -3221,7 +3124,7 @@ mod tests {
                 Label::unrestricted(),
                 Label::default_clearance(),
                 0,
-                "outsider",
+                "outsider".into(),
             )
             .unwrap();
         assert_eq!(
@@ -3242,7 +3145,7 @@ mod tests {
         let (mut k, tid) = boot();
         let root = k.root_container();
         let aspace = k
-            .sys_as_create(tid, root, Label::unrestricted(), "as")
+            .sys_as_create(tid, root, Label::unrestricted(), "as".into())
             .unwrap();
         k.sys_self_set_as(tid, entry(&k, aspace)).unwrap();
         let peer = k
@@ -3252,7 +3155,7 @@ mod tests {
                 Label::unrestricted(),
                 Label::default_clearance(),
                 0,
-                "peer",
+                "peer".into(),
             )
             .unwrap();
         // peer inherits tid's address space, which it can write; alert works.
@@ -3269,12 +3172,12 @@ mod tests {
         let (mut k, tid) = boot();
         let root = k.root_container();
         let seg = k
-            .sys_segment_create(tid, root, Label::unrestricted(), 10, "ro")
+            .sys_segment_create(tid, root, Label::unrestricted(), 10, "ro".into())
             .unwrap();
         let e = entry(&k, seg);
         k.sys_obj_set_immutable(tid, e).unwrap();
         assert_eq!(
-            k.sys_segment_write(tid, e, 0, b"x"),
+            k.sys_segment_write(tid, e, 0, b"x".to_vec()),
             Err(SyscallError::Immutable(seg))
         );
         // Reads still work.
@@ -3286,10 +3189,10 @@ mod tests {
         let (mut k, tid) = boot();
         let root = k.root_container();
         let dir = k
-            .sys_container_create(tid, root, Label::unrestricted(), "dir", 0, 1 << 20)
+            .sys_container_create(tid, root, Label::unrestricted(), "dir".into(), 0, 1 << 20)
             .unwrap();
         let seg = k
-            .sys_segment_create(tid, root, Label::unrestricted(), 10, "shared")
+            .sys_segment_create(tid, root, Label::unrestricted(), 10, "shared".into())
             .unwrap();
         let e = entry(&k, seg);
         assert_eq!(
@@ -3351,7 +3254,7 @@ mod tests {
                 Label::unrestricted(),
                 Label::default_clearance(),
                 0,
-                "other",
+                "other".into(),
             )
             .unwrap();
         assert!(k.sys_net_mac(other, de).is_err());
@@ -3363,8 +3266,8 @@ mod tests {
         let (mut k, tid) = boot();
         let before = k.stats();
         let root = k.root_container();
-        let _ = k.sys_segment_create(tid, root, Label::unrestricted(), 10, "s");
-        let _ = k.sys_self_get_label(tid);
+        let _ = k.trap_segment_create(tid, root, Label::unrestricted(), 10, "s");
+        let _ = k.trap_self_get_label(tid);
         let after = k.stats();
         let delta = after.since(&before);
         assert_eq!(delta.syscalls, 2);
@@ -3391,7 +3294,7 @@ mod tests {
         let tainted = k.thread_label(tid).unwrap().with(c, Level::L3);
         k.sys_self_set_label(tid, tainted).unwrap();
         let e = ContainerEntry::new(k.root_container(), local);
-        k.sys_segment_write(tid, e, 0, b"scratch").unwrap();
+        k.sys_segment_write(tid, e, 0, b"scratch".to_vec()).unwrap();
         assert_eq!(k.sys_segment_read(tid, e, 0, 7).unwrap(), b"scratch");
     }
 
@@ -3409,7 +3312,7 @@ mod tests {
                 Label::unrestricted(),
                 Label::default_clearance(),
                 0,
-                "other",
+                "other".into(),
             )
             .unwrap();
         assert_eq!(
@@ -3442,10 +3345,10 @@ mod tests {
         let c = k.sys_create_category(tid).unwrap();
         let private = Label::builder().set(c, Level::L3).build();
         let dir = k
-            .sys_container_create(tid, root, private, "private-dir", 0, 1 << 20)
+            .sys_container_create(tid, root, private, "private-dir".into(), 0, 1 << 20)
             .unwrap();
         let seg = k
-            .sys_segment_create(tid, dir, Label::unrestricted(), 10, "leaf")
+            .sys_segment_create(tid, dir, Label::unrestricted(), 10, "leaf".into())
             .unwrap();
         // Another thread cannot name the segment through the private
         // container, even though the segment itself is unrestricted.
@@ -3456,7 +3359,7 @@ mod tests {
                 Label::unrestricted(),
                 Label::default_clearance(),
                 0,
-                "other",
+                "other".into(),
             )
             .unwrap();
         assert!(matches!(

@@ -46,6 +46,8 @@
 pub mod abi;
 pub mod bodies;
 pub mod dispatch;
+#[cfg(test)]
+mod dispatch_equivalence;
 pub mod kernel;
 pub mod machine;
 pub mod object;

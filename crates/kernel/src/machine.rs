@@ -412,11 +412,11 @@ mod tests {
         let secret_label = Label::builder().set(cat, Level::L3).build();
         let seg = m
             .kernel_mut()
-            .sys_segment_create(tid, root, secret_label.clone(), 64, "secret notes")
+            .sys_segment_create(tid, root, secret_label.clone(), 64, "secret notes".into())
             .unwrap();
         let entry = ContainerEntry::new(root, seg);
         m.kernel_mut()
-            .sys_segment_write(tid, entry, 0, b"top secret")
+            .sys_segment_write(tid, entry, 0, b"top secret".to_vec())
             .unwrap();
 
         m.snapshot();
@@ -441,7 +441,7 @@ mod tests {
         m.snapshot();
         let seg = m
             .kernel_mut()
-            .sys_segment_create(tid, root, Label::unrestricted(), 16, "ephemeral")
+            .sys_segment_create(tid, root, Label::unrestricted(), 16, "ephemeral".into())
             .unwrap();
         let mut m2 = m.crash_and_recover().unwrap();
         assert!(
@@ -470,7 +470,7 @@ mod tests {
         let root = m.kernel().root_container();
         let seg = m
             .kernel_mut()
-            .sys_segment_create(tid, root, Label::unrestricted(), 16, "tmp")
+            .sys_segment_create(tid, root, Label::unrestricted(), 16, "tmp".into())
             .unwrap();
         m.snapshot();
         m.kernel_mut()

@@ -180,9 +180,10 @@ impl std::error::Error for SyscallError {}
 /// Counters describing kernel activity, used by the benchmark harness.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SyscallStats {
-    /// Total system calls executed (including failed ones).
+    /// Total system calls executed (including failed ones), as counted
+    /// by dispatch.
     pub syscalls: u64,
-    /// System calls that returned an error.
+    /// System calls that returned an error, as counted by dispatch.
     pub errors: u64,
     /// Label comparisons performed.
     pub label_checks: u64,
