@@ -15,13 +15,13 @@
 //! label reads) and the login protocol's category/label pairs cross the
 //! boundary as submission batches, so a quantum's kernel work pays one
 //! trap cost instead of one per call — visible in the report's
-//! [`DispatchStats`] batch-size histogram.
+//! [`KernelStats`] batch-size histogram.
 
 use histar_auth::{AuthService, AuthSystem, LoginOutcome};
 use histar_kernel::sched::{
     Program, RunLimit, SchedConfig, SchedContext, ScheduleReport, Scheduler, Step, DEFAULT_SHARDS,
 };
-use histar_kernel::{DispatchStats, Kernel, SyscallStats};
+use histar_kernel::{Kernel, KernelStats};
 use histar_label::Label;
 use histar_sim::SimDuration;
 use histar_unix::gatecall::{
@@ -93,12 +93,9 @@ pub struct MultiLoginReport {
     pub granted: usize,
     /// Logins rejected (wrong password).
     pub rejected: usize,
-    /// Dispatched syscalls during the scheduled run.
-    pub syscalls: u64,
-    /// Kernel activity delta during the scheduled run.
-    pub kernel: SyscallStats,
-    /// Per-syscall dispatch counters delta during the scheduled run.
-    pub dispatch: DispatchStats,
+    /// Kernel counters delta during the scheduled run (dispatched
+    /// syscalls, batches, label checks, context switches, ...).
+    pub dispatch: KernelStats,
     /// Simulated time the run consumed.
     pub elapsed: SimDuration,
 }
@@ -265,16 +262,9 @@ pub fn run_multilogin(
     params: MultiLoginParams,
 ) -> Result<(LoginWorld, MultiLoginReport), UnixError> {
     let (mut world, mut sched) = build_multilogin(params)?;
-    let kernel_before = world.env.machine().kernel().stats();
-    let dispatch_before = world.env.machine().kernel().dispatch_stats();
+    let before = world.env.machine().kernel().stats();
     let schedule = sched.run(&mut world, RunLimit::to_completion());
-    let kernel = world.env.machine().kernel().stats().since(&kernel_before);
-    let dispatch = world
-        .env
-        .machine()
-        .kernel()
-        .dispatch_stats()
-        .since(&dispatch_before);
+    let dispatch = world.env.machine().kernel().stats().since(&before);
     let granted = world
         .outcomes
         .iter()
@@ -285,8 +275,6 @@ pub fn run_multilogin(
         schedule,
         granted,
         rejected,
-        syscalls: dispatch.total(),
-        kernel,
         dispatch,
         elapsed: schedule.elapsed,
     };
@@ -318,7 +306,8 @@ mod tests {
         let expected_rejected = 100 / 7;
         assert_eq!(report.rejected, expected_rejected);
         assert_eq!(report.granted, 100 - expected_rejected);
-        assert!(report.syscalls > 1000, "got {} syscalls", report.syscalls);
+        let syscalls = report.dispatch.total();
+        assert!(syscalls > 1000, "got {syscalls} syscalls");
         assert!(report.schedule.stats.context_switches >= 100);
         // The gate-call spills are batched: strictly fewer boundary
         // crossings than dispatched entries.
@@ -332,7 +321,7 @@ mod tests {
         // Same seed ⇒ identical outcomes AND identical audit trace.
         let (world2, report2) = run_multilogin(params).unwrap();
         assert_eq!(world.outcomes, world2.outcomes);
-        assert_eq!(report.syscalls, report2.syscalls);
+        assert_eq!(report.dispatch, report2.dispatch);
         assert_eq!(report.schedule.stats.quanta, report2.schedule.stats.quanta);
         let t1: Vec<TraceRecord> = world
             .env
@@ -340,7 +329,7 @@ mod tests {
             .kernel()
             .syscall_trace()
             .unwrap()
-            .records()
+            .iter()
             .copied()
             .collect();
         let t2: Vec<TraceRecord> = world2
@@ -349,7 +338,7 @@ mod tests {
             .kernel()
             .syscall_trace()
             .unwrap()
-            .records()
+            .iter()
             .copied()
             .collect();
         assert!(!t1.is_empty());
@@ -383,27 +372,31 @@ mod tests {
 
     #[test]
     fn all_trapped_no_direct_syscalls_escape_dispatch() {
-        // During the scheduled run, every kernel syscall is dispatched:
-        // the aggregate kernel counter and the dispatch counter move in
-        // lockstep.
+        // During the scheduled run, every kernel syscall is dispatched, and
+        // dispatch audits each one: the call counter and the audit trace
+        // move in lockstep.
         let (mut world, mut sched) = build_multilogin(MultiLoginParams {
             processes: 10,
             users: 2,
             seed: 3,
             shards: DEFAULT_SHARDS,
             wrong_every: 0,
-            trace_capacity: 0,
+            trace_capacity: 1 << 16,
             recorder_capacity: 0,
         })
         .unwrap();
-        let k0 = world.env.machine().kernel().stats().syscalls;
-        let d0 = world.env.machine().kernel().dispatch_stats().total();
+        let audited = |k: &Kernel| k.syscall_trace().expect("tracing enabled").total_recorded();
+        let kernel = world.env.machine().kernel();
+        let (c0, a0) = (kernel.stats().total(), audited(kernel));
         sched.run(&mut world, RunLimit::to_completion());
-        let dk = world.env.machine().kernel().stats().syscalls - k0;
-        let dd = world.env.machine().kernel().dispatch_stats().total() - d0;
+        let kernel = world.env.machine().kernel();
+        let calls = kernel.stats().total() - c0;
+        assert!(calls > 0);
         assert_eq!(
-            dk, dd,
+            audited(kernel) - a0,
+            calls,
             "every syscall in the multiprogrammed run must cross dispatch"
         );
+        assert_eq!(kernel.syscall_trace().unwrap().dropped(), 0);
     }
 }

@@ -79,12 +79,6 @@ impl AuthService {
             retries_left: 5,
         }
     }
-
-    /// Changes the password (only the user's own code would be able to do
-    /// this, since the service runs with the user's privilege).
-    pub fn set_password(&mut self, password: &str) {
-        self.password_hash = hash_password(password);
-    }
 }
 
 /// Outcome of a login attempt.

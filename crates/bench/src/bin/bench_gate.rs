@@ -3,8 +3,11 @@
 //! on a regression beyond the allowed fraction.
 //!
 //! Usage:
-//!   bench_gate <baseline.json> <current.json> <metric> [max_regression]
-//!   bench_gate <baseline.json> <current.json> <metric> --min-speedup <factor>
+//!
+//! ```text
+//! bench_gate <baseline.json> <current.json> <metric> [max_regression]
+//! bench_gate <baseline.json> <current.json> <metric> --min-speedup <factor>
+//! ```
 //!
 //! `max_regression` is a fraction (default 0.20): the gate fails when
 //! `current < baseline * (1 - max_regression)`.  With `--min-speedup F`

@@ -39,14 +39,18 @@ fn main() {
     for crate_dir in [
         "crates/label",
         "crates/sim",
+        "crates/obs",
         "crates/store",
         "crates/kernel",
         "crates/unix",
         "crates/net",
+        "crates/exporter",
         "crates/auth",
         "crates/apps",
+        "crates/httpd",
         "crates/baseline",
         "crates/bench",
+        "crates/flowcheck",
         "src",
         "examples",
         "tests",

@@ -227,7 +227,7 @@ pub fn histar_lfs_large(file_size: u64, chunk: u64) -> LfsLargeResult {
         let page = rng.next_below(file_size / 4096 - pages_per_chunk);
         let pages: Vec<u64> = (page..page + pages_per_chunk).collect();
         store
-            .sync_pages_in_place(1, &pages)
+            .sync_pages_in_place(1, 0, &pages)
             .expect("in-place page flush");
     }
     let random_sync_write = store.disk().clock().now() - start;

@@ -9,7 +9,7 @@
 //! position write in ONE batch) visible in `BENCH_fs.json`.
 
 use crate::report::{BenchJson, Row, Table};
-use histar_kernel::DispatchStats;
+use histar_kernel::KernelStats;
 use histar_obs::Recorder;
 use histar_sim::SimDuration;
 use histar_unix::fs::OpenFlags;
@@ -135,9 +135,9 @@ pub struct FsMeasurement {
     /// `(phase, total simulated ns, occurrences)` from the flight
     /// recorder's `recover` spans, sorted by total descending.
     pub recovery_phases: Vec<(&'static str, u64, u64)>,
-    /// Dispatch counters over the read+write phases only (batch-size
+    /// Kernel counters over the read+write phases only (batch-size
     /// histogram, handle traffic).
-    pub io_dispatch: DispatchStats,
+    pub io_dispatch: KernelStats,
 }
 
 /// Runs the benchmark on a freshly booted environment.
@@ -177,7 +177,7 @@ pub fn measure(params: FsBenchParams) -> FsMeasurement {
     // Phase: sequential reads (the descriptor advances through the file;
     // every iteration re-reads descriptor state and updates the seek
     // position, like a real read(2) loop).
-    let dispatch_before = env.machine().kernel().dispatch_stats();
+    let dispatch_before = env.machine().kernel().stats();
     let fd = env
         .open(init, "/bench/big", OpenFlags::read_only())
         .expect("open for reads");
@@ -214,11 +214,7 @@ pub fn measure(params: FsBenchParams) -> FsMeasurement {
         elapsed: clock_now(&env) - start,
     };
     env.close(init, fd).expect("close write fd");
-    let io_dispatch = env
-        .machine()
-        .kernel()
-        .dispatch_stats()
-        .since(&dispatch_before);
+    let io_dispatch = env.machine().kernel().stats().since(&dispatch_before);
 
     // Phase: readdir.
     let start = clock_now(&env);

@@ -60,8 +60,7 @@ pub struct ObsRun {
     pub spans_recorded: u64,
     /// Spans the bounded ring evicted (0 when disabled).
     pub spans_dropped: u64,
-    /// Audit-trace records silently evicted, as mirrored into
-    /// `DispatchStats::trace_dropped`.
+    /// Audit-trace records silently evicted (0 when tracing is off).
     pub trace_dropped: u64,
     /// Chrome-trace JSON dump of the recorder's ring (tracing-enabled run
     /// only).
@@ -116,13 +115,14 @@ fn measure(params: ObsBenchParams, tracing: bool) -> ObsRun {
     })
     .expect("multilogin scenario");
     let registry_len = world.env.kernel_mut().metrics().len() as u64;
-    let recorder = world.env.machine().kernel().recorder();
+    let kernel = world.env.machine().kernel();
+    let recorder = kernel.recorder();
     ObsRun {
-        syscalls: report.syscalls,
+        syscalls: report.dispatch.total(),
         elapsed: report.elapsed,
         spans_recorded: recorder.total_recorded(),
         spans_dropped: recorder.dropped(),
-        trace_dropped: report.dispatch.trace_dropped,
+        trace_dropped: kernel.syscall_trace().map_or(0, |t| t.dropped()),
         chrome_trace: tracing.then(|| recorder.chrome_trace_json()),
         registry_len,
     }

@@ -15,7 +15,7 @@ use histar_exporter::Fabric;
 use histar_kernel::sched::{
     Program, RunLimit, SchedConfig, SchedContext, Scheduler, Step, StopReason, DEFAULT_SHARDS,
 };
-use histar_kernel::{DispatchStats, Kernel, SyscallStats};
+use histar_kernel::{Kernel, KernelStats};
 use histar_sim::{CostModel, OsFlavor, SimDuration};
 use histar_unix::process::Pid;
 
@@ -68,7 +68,7 @@ impl SchedBenchParams {
 
 /// Mean context-switch cost implied by the kernel's switch counters: the
 /// blend of full-flush and `invlpg` switches the run actually performed.
-fn mean_switch_cost(stats: &SyscallStats) -> SimDuration {
+fn mean_switch_cost(stats: &KernelStats) -> SimDuration {
     let cost = CostModel::for_flavor(OsFlavor::HiStar);
     if stats.context_switches == 0 {
         return SimDuration::ZERO;
@@ -94,9 +94,9 @@ pub struct SchedMeasurement {
     pub elapsed: SimDuration,
     /// Mean charged context-switch cost.
     pub switch_cost: SimDuration,
-    /// Per-syscall dispatch counters over the run, including the
-    /// submission-batch size histogram.
-    pub dispatch: DispatchStats,
+    /// Kernel counters over the run, including the submission-batch size
+    /// histogram.
+    pub dispatch: KernelStats,
 }
 
 impl SchedMeasurement {
@@ -136,11 +136,11 @@ pub fn measure_single_node(params: SchedBenchParams) -> SchedMeasurement {
     .expect("multilogin scenario");
     SchedMeasurement {
         completed: report.schedule.stats.completed,
-        syscalls: report.syscalls,
+        syscalls: report.dispatch.total(),
         quanta: report.schedule.stats.quanta,
         context_switches: report.schedule.stats.context_switches,
         elapsed: report.elapsed,
-        switch_cost: mean_switch_cost(&report.kernel),
+        switch_cost: mean_switch_cost(&report.dispatch),
         dispatch: report.dispatch,
     }
 }
@@ -299,18 +299,9 @@ pub fn measure_fabric(params: SchedBenchParams) -> SchedMeasurement {
         failures: Vec::new(),
     };
     let before_clock = world.fabric.nodes[0].env.machine().uptime();
-    let dispatch_snapshots: Vec<DispatchStats> = (0..2)
-        .map(|n| {
-            world.fabric.nodes[n]
-                .env
-                .machine()
-                .kernel()
-                .dispatch_stats()
-        })
-        .collect();
-    let stats_before: Vec<SyscallStats> = (0..2)
-        .map(|n| world.fabric.nodes[n].env.machine().kernel().stats())
-        .collect();
+    let node_stats =
+        |world: &FabricWorld, n: usize| world.fabric.nodes[n].env.machine().kernel().stats();
+    let before: Vec<KernelStats> = (0..2).map(|n| node_stats(&world, n)).collect();
 
     // Alternate the two nodes' CPUs until both run dry.
     let mut rounds = 0;
@@ -333,31 +324,20 @@ pub fn measure_fabric(params: SchedBenchParams) -> SchedMeasurement {
     );
 
     let elapsed = world.fabric.nodes[0].env.machine().uptime() - before_clock;
-    // Combine both nodes' dispatch deltas into one histogram.
-    let mut dispatch = DispatchStats::default();
-    for (n, before) in dispatch_snapshots.iter().enumerate() {
-        let d = world.fabric.nodes[n]
-            .env
-            .machine()
-            .kernel()
-            .dispatch_stats()
-            .since(before);
-        dispatch = dispatch.merge(&d);
-    }
-    let mut switch_stats = SyscallStats::default();
-    for (n, before) in stats_before.iter().enumerate() {
-        let s = world.fabric.nodes[n].env.machine().kernel().stats();
-        let d = s.since(before);
-        switch_stats.context_switches += d.context_switches;
-        switch_stats.invlpg_switches += d.invlpg_switches;
-    }
+    // Combine both nodes' deltas into one set of counters.
+    let dispatch = before
+        .iter()
+        .enumerate()
+        .fold(KernelStats::default(), |sum, (n, b)| {
+            sum.merge(&node_stats(&world, n).since(b))
+        });
     SchedMeasurement {
         completed: (scheds[0].stats().completed + scheds[1].stats().completed),
         syscalls: dispatch.total(),
         quanta: scheds[0].stats().quanta + scheds[1].stats().quanta,
-        context_switches: switch_stats.context_switches,
+        context_switches: dispatch.context_switches,
         elapsed,
-        switch_cost: mean_switch_cost(&switch_stats),
+        switch_cost: mean_switch_cost(&dispatch),
         dispatch,
     }
 }

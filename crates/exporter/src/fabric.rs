@@ -4,7 +4,7 @@
 //! The fabric plays the role of the physical network: it moves frames
 //! between the nodes' device queues and charges each end's clock with the
 //! per-link wire time and per-message CPU cost from the
-//! [`Topology`](histar_sim::Topology).  Everything above the wire — netd,
+//! [`Topology`].  Everything above the wire — netd,
 //! the exporters, the workers, the service gates — runs under the nodes' own
 //! kernels with ordinary label checks.
 

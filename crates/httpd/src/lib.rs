@@ -42,7 +42,7 @@ use histar_kernel::object::{ContainerEntry, ObjectId};
 use histar_kernel::sched::{
     Program, RunLimit, SchedConfig, SchedContext, SchedStats, Scheduler, Step, StopReason,
 };
-use histar_kernel::{DispatchStats, Kernel, SyscallStats};
+use histar_kernel::{Kernel, KernelStats};
 use histar_label::{Category, Label, Level};
 use histar_net::{Listener, Netd};
 use histar_obs::Span;
@@ -178,10 +178,9 @@ pub struct HttpdReport {
     pub p99_latency: SimDuration,
     /// Simulated time the run consumed.
     pub elapsed: SimDuration,
-    /// Kernel activity delta during the run.
-    pub kernel: SyscallStats,
-    /// Per-syscall dispatch counters delta during the run.
-    pub dispatch: DispatchStats,
+    /// Kernel counters delta during the run (per-syscall dispatch counts,
+    /// label checks, context switches, ...).
+    pub dispatch: KernelStats,
 }
 
 // ----- the launcher: the trusted component ---------------------------------
@@ -781,8 +780,7 @@ pub fn run_httpd(params: HttpdParams) -> Result<(HttpdWorld, HttpdReport)> {
 /// [`run_httpd`] under an explicit scheduler configuration.
 fn run_on(params: HttpdParams, config: SchedConfig) -> Result<(HttpdWorld, HttpdReport)> {
     let (mut world, mut sched) = build_on(params, config)?;
-    let kernel_before = world.env.machine().kernel().stats();
-    let dispatch_before = world.env.machine().kernel().dispatch_stats();
+    let before = world.env.machine().kernel().stats();
     let start = world.env.machine().kernel().now();
 
     let stop = loop {
@@ -810,13 +808,7 @@ fn run_on(params: HttpdParams, config: SchedConfig) -> Result<(HttpdWorld, Httpd
     };
 
     let elapsed = world.env.machine().kernel().now() - start;
-    let kernel = world.env.machine().kernel().stats().since(&kernel_before);
-    let dispatch = world
-        .env
-        .machine()
-        .kernel()
-        .dispatch_stats()
-        .since(&dispatch_before);
+    let dispatch = world.env.machine().kernel().stats().since(&before);
     let mut sorted = world.latencies.clone();
     sorted.sort_unstable();
     let resolved = world.served + world.denied;
@@ -836,7 +828,6 @@ fn run_on(params: HttpdParams, config: SchedConfig) -> Result<(HttpdWorld, Httpd
         p50_latency: percentile(&sorted, 0.50),
         p99_latency: percentile(&sorted, 0.99),
         elapsed,
-        kernel,
         dispatch,
     };
     Ok((world, report))
@@ -857,14 +848,14 @@ mod tests {
                 h = h.wrapping_mul(0x0100_0000_01b3);
             }
         };
-        for r in kernel.syscall_trace().expect("tracing enabled").records() {
+        for r in kernel.syscall_trace().expect("tracing enabled").iter() {
             eat(&r.seq.to_le_bytes());
             eat(&r.tick.to_le_bytes());
             eat(&r.tid.raw().to_le_bytes());
             eat(r.syscall.as_bytes());
             eat(&[u8::from(r.ok)]);
         }
-        let stats = kernel.dispatch_stats();
+        let stats = kernel.stats();
         for n in stats.invocations.iter().chain(stats.errors.iter()) {
             eat(&n.to_le_bytes());
         }
@@ -967,7 +958,7 @@ mod tests {
             .kernel()
             .syscall_trace()
             .unwrap()
-            .records()
+            .iter()
             .copied()
             .collect();
         let t2: Vec<TraceRecord> = w2
@@ -976,7 +967,7 @@ mod tests {
             .kernel()
             .syscall_trace()
             .unwrap()
-            .records()
+            .iter()
             .copied()
             .collect();
         assert!(!t1.is_empty());
@@ -986,7 +977,7 @@ mod tests {
             let (world, _) =
                 run_on(params, SchedConfig::new().seed(params.seed).shards(shards)).unwrap();
             let kernel = world.env.machine().kernel();
-            assert_eq!(kernel.dispatch_stats().trace_dropped, 0);
+            assert_eq!(kernel.syscall_trace().unwrap().dropped(), 0);
             assert_eq!(
                 audit_digest(kernel),
                 golden,

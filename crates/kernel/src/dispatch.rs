@@ -8,9 +8,9 @@
 //! with its arguments, and [`Kernel::dispatch`] is the only place where the
 //! value is decoded and executed.  Dispatch charges the call's CPU cost
 //! (via the underlying `sys_*` implementation), maintains per-syscall
-//! counters in [`DispatchStats`], and — when tracing is enabled — appends a
-//! [`TraceRecord`] to a bounded ring buffer, giving the machine an
-//! auditable `(tick, thread, syscall, ok)` stream.
+//! counters in [`KernelStats`], and — when tracing is enabled — appends a
+//! [`TraceRecord`] to a bounded [`Ring`](histar_obs::Ring), giving the
+//! machine an auditable `(tick, thread, syscall, ok)` stream.
 //!
 //! The ABI is written down once, in the `syscalls!` table below: one row
 //! per syscall names its [`Syscall`] variant and typed fields, the
@@ -33,7 +33,6 @@ use crate::object::{ContainerEntry, ObjectId, ObjectType, METADATA_LEN};
 use crate::syscall::SyscallError;
 use histar_label::{Category, Label};
 use histar_obs::{Histogram, Span};
-use std::collections::VecDeque;
 
 /// Generates the syscall ABI from one table.  Each row reads
 ///
@@ -642,14 +641,6 @@ impl SyscallResult {
         }
     }
 
-    /// Unwraps a plain-number result; panics on any other variant.
-    pub fn into_u64(self) -> u64 {
-        match self {
-            SyscallResult::U64(v) => v,
-            other => panic!("expected a U64 completion, got {other:?}"),
-        }
-    }
-
     /// Unwraps a received-frame result; panics on any other variant.
     pub fn into_frame(self) -> Option<Vec<u8>> {
         match self {
@@ -657,20 +648,17 @@ impl SyscallResult {
             other => panic!("expected a Frame completion, got {other:?}"),
         }
     }
-
-    /// Unwraps a persist-scan result; panics on any other variant.
-    pub fn into_records(self) -> Vec<(u64, Vec<u8>)> {
-        match self {
-            SyscallResult::Records(r) => r,
-            other => panic!("expected a Records completion, got {other:?}"),
-        }
-    }
 }
 
-/// Per-syscall invocation and error counters maintained by
-/// [`Kernel::dispatch`].
+/// The kernel's activity counters: one struct, read through
+/// [`Kernel::stats`].
+///
+/// The per-syscall, batch and handle counters are maintained by
+/// [`Kernel::dispatch`]; the label-check, object, gate, fault and
+/// context-switch counters by the `sys_*` bodies behind it.  Exported as
+/// `dispatch.*` and `kernel.*` metrics.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DispatchStats {
+pub struct KernelStats {
     /// Invocations per syscall, indexed like [`SYSCALL_NAMES`].
     pub invocations: [u64; SYSCALL_COUNT],
     /// Errors per syscall, indexed like [`SYSCALL_NAMES`].
@@ -684,10 +672,6 @@ pub struct DispatchStats {
     /// Histogram of batch sizes; bucket boundaries are
     /// [`BATCH_HIST_BUCKETS`].
     pub batch_size_hist: Histogram<{ BATCH_HIST_BUCKETS.len() }>,
-    /// Audit-trace records evicted from the bounded ring before anyone
-    /// read them — silent loss of audit history.  The dispatch-equivalence
-    /// tests assert this stays zero when the trace is sized to the run.
-    pub trace_dropped: u64,
     /// Capability handles installed.
     pub handle_opens: u64,
     /// Capability handles explicitly closed.
@@ -700,32 +684,53 @@ pub struct DispatchStats {
     /// Handle-open requests satisfied by an already-installed handle for
     /// the same container link (the fd hot path's steady state).
     pub handle_reuses: u64,
+    /// Label comparisons performed (the label cache counts how many it
+    /// answered).
+    pub label_checks: u64,
+    /// Page faults handled.
+    pub page_faults: u64,
+    /// Objects created.
+    pub objects_created: u64,
+    /// Objects deallocated.
+    pub objects_deallocated: u64,
+    /// Gate invocations.
+    pub gate_invocations: u64,
+    /// Context switches (address-space changes).
+    pub context_switches: u64,
+    /// Context switches that used the cheap `invlpg` path.
+    pub invlpg_switches: u64,
 }
 
 /// Upper bounds (inclusive) of the batch-size histogram buckets; the last
-/// bucket is open-ended.  The edges live in `histar-obs` so the dispatch
+/// bucket is open-ended.  The edges live in `histar-obs` so the kernel
 /// stats and the I/O benchmarks bucket identically.
 pub use histar_obs::BATCH_SIZE_EDGES as BATCH_HIST_BUCKETS;
 
-impl Default for DispatchStats {
-    fn default() -> DispatchStats {
-        DispatchStats {
+impl Default for KernelStats {
+    fn default() -> KernelStats {
+        KernelStats {
             invocations: [0; SYSCALL_COUNT],
             errors: [0; SYSCALL_COUNT],
             batches: 0,
             batch_entries: 0,
             batch_size_hist: Histogram::new(&BATCH_HIST_BUCKETS),
-            trace_dropped: 0,
             handle_opens: 0,
             handle_closes: 0,
             handle_revocations: 0,
             handle_resolutions: 0,
             handle_reuses: 0,
+            label_checks: 0,
+            page_faults: 0,
+            objects_created: 0,
+            objects_deallocated: 0,
+            gate_invocations: 0,
+            context_switches: 0,
+            invlpg_switches: 0,
         }
     }
 }
 
-impl DispatchStats {
+impl KernelStats {
     /// Total dispatched calls.
     pub fn total(&self) -> u64 {
         self.invocations.iter().sum()
@@ -751,16 +756,6 @@ impl DispatchStats {
             .filter(|&i| self.invocations[i] > 0)
             .map(|i| (SYSCALL_NAMES[i], self.invocations[i], self.errors[i]))
             .collect()
-    }
-
-    /// The histogram bucket a batch of `size` entries falls into.
-    pub fn batch_bucket(size: u64) -> usize {
-        Histogram::new(&BATCH_HIST_BUCKETS).bucket_of(size)
-    }
-
-    /// Human-readable label for histogram bucket `i` (e.g. `"3-4"`).
-    pub fn batch_bucket_label(i: usize) -> String {
-        Histogram::new(&BATCH_HIST_BUCKETS).bucket_label(i)
     }
 
     /// Mean submission-batch size (1.0 when everything was single-call).
@@ -795,14 +790,13 @@ impl DispatchStats {
     /// Applies `op` to every counter pair of `self` and `other` — the one
     /// place that enumerates the struct's fields, so `since`/`merge` can
     /// never drift apart when a counter is added.
-    fn zip_with(&self, other: &DispatchStats, op: impl Fn(u64, u64) -> u64) -> DispatchStats {
-        let mut out = DispatchStats::default();
+    fn zip_with(&self, other: &KernelStats, op: impl Fn(u64, u64) -> u64) -> KernelStats {
+        let mut out = KernelStats::default();
         for i in 0..SYSCALL_COUNT {
             out.invocations[i] = op(self.invocations[i], other.invocations[i]);
             out.errors[i] = op(self.errors[i], other.errors[i]);
         }
         out.batch_size_hist = self.batch_size_hist.zip_with(&other.batch_size_hist, &op);
-        out.trace_dropped = op(self.trace_dropped, other.trace_dropped);
         out.batches = op(self.batches, other.batches);
         out.batch_entries = op(self.batch_entries, other.batch_entries);
         out.handle_opens = op(self.handle_opens, other.handle_opens);
@@ -810,34 +804,48 @@ impl DispatchStats {
         out.handle_revocations = op(self.handle_revocations, other.handle_revocations);
         out.handle_resolutions = op(self.handle_resolutions, other.handle_resolutions);
         out.handle_reuses = op(self.handle_reuses, other.handle_reuses);
+        out.label_checks = op(self.label_checks, other.label_checks);
+        out.page_faults = op(self.page_faults, other.page_faults);
+        out.objects_created = op(self.objects_created, other.objects_created);
+        out.objects_deallocated = op(self.objects_deallocated, other.objects_deallocated);
+        out.gate_invocations = op(self.gate_invocations, other.gate_invocations);
+        out.context_switches = op(self.context_switches, other.context_switches);
+        out.invlpg_switches = op(self.invlpg_switches, other.invlpg_switches);
         out
     }
 
-    /// Difference between two snapshots (`self - earlier`).
-    pub fn since(&self, earlier: &DispatchStats) -> DispatchStats {
+    /// Difference between two snapshots (`self - earlier`), for measuring
+    /// a region of execution.
+    pub fn since(&self, earlier: &KernelStats) -> KernelStats {
         self.zip_with(earlier, |a, b| a - b)
     }
 
     /// Element-wise sum of two counter sets (e.g. combining the nodes of a
     /// fabric into one histogram).
-    pub fn merge(&self, other: &DispatchStats) -> DispatchStats {
+    pub fn merge(&self, other: &KernelStats) -> KernelStats {
         self.zip_with(other, |a, b| a + b)
     }
 }
 
-impl histar_obs::MetricSource for DispatchStats {
+impl histar_obs::MetricSource for KernelStats {
     fn export(&self, set: &mut histar_obs::MetricSet) {
         set.counter("dispatch.calls", self.total());
         set.counter("dispatch.errors", self.total_errors());
         set.counter("dispatch.batches", self.batches);
         set.counter("dispatch.batch_entries", self.batch_entries);
-        set.counter("dispatch.trace_dropped", self.trace_dropped);
         set.counter("dispatch.handle_opens", self.handle_opens);
         set.counter("dispatch.handle_closes", self.handle_closes);
         set.counter("dispatch.handle_revocations", self.handle_revocations);
         set.counter("dispatch.handle_resolutions", self.handle_resolutions);
         set.counter("dispatch.handle_reuses", self.handle_reuses);
         set.histogram("dispatch.batch_size", &self.batch_size_hist);
+        set.counter("kernel.label_checks", self.label_checks);
+        set.counter("kernel.page_faults", self.page_faults);
+        set.counter("kernel.objects_created", self.objects_created);
+        set.counter("kernel.objects_deallocated", self.objects_deallocated);
+        set.counter("kernel.gate_invocations", self.gate_invocations);
+        set.counter("kernel.context_switches", self.context_switches);
+        set.counter("kernel.invlpg_switches", self.invlpg_switches);
     }
 }
 
@@ -845,8 +853,8 @@ impl histar_obs::MetricSource for DispatchStats {
 /// call, at what simulated time, and whether it succeeded.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceRecord {
-    /// Monotonic sequence number (survives ring-buffer eviction, so gaps
-    /// are detectable).
+    /// The record's index in the trace since it was enabled (survives
+    /// ring eviction, so gaps are detectable).
     pub seq: u64,
     /// Simulated time at call completion, in nanoseconds since boot.
     pub tick: u64,
@@ -858,74 +866,6 @@ pub struct TraceRecord {
     pub ok: bool,
 }
 
-/// A bounded ring buffer of [`TraceRecord`]s — the machine's syscall
-/// audit stream.  When full, the oldest record is dropped (and
-/// counted), so enabling tracing never grows memory without bound.
-#[derive(Clone, Debug, Default)]
-pub struct SyscallTrace {
-    capacity: usize,
-    next_seq: u64,
-    dropped: u64,
-    records: VecDeque<TraceRecord>,
-}
-
-impl SyscallTrace {
-    /// Creates an empty trace holding at most `capacity` records.
-    pub fn new(capacity: usize) -> SyscallTrace {
-        SyscallTrace {
-            capacity: capacity.max(1),
-            next_seq: 0,
-            dropped: 0,
-            records: VecDeque::with_capacity(capacity.clamp(1, 4096)),
-        }
-    }
-
-    /// Appends a record, evicting the oldest if full.  Returns whether a
-    /// record was evicted, so the dispatcher can mirror silent audit loss
-    /// into [`DispatchStats::trace_dropped`].
-    fn push(&mut self, tick: u64, tid: ObjectId, syscall: &'static str, ok: bool) -> bool {
-        let evicted = self.records.len() == self.capacity;
-        if evicted {
-            self.records.pop_front();
-            self.dropped += 1;
-        }
-        self.records.push_back(TraceRecord {
-            seq: self.next_seq,
-            tick,
-            tid,
-            syscall,
-            ok,
-        });
-        self.next_seq += 1;
-        evicted
-    }
-
-    /// The buffered records, oldest first.
-    pub fn records(&self) -> impl Iterator<Item = &TraceRecord> {
-        self.records.iter()
-    }
-
-    /// Number of buffered records.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// True if nothing has been recorded (or everything was evicted).
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Records evicted because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Total records ever appended.
-    pub fn total_recorded(&self) -> u64 {
-        self.next_seq
-    }
-}
-
 impl Kernel {
     /// Executes one trapped system call on behalf of thread `tid`.
     ///
@@ -933,7 +873,7 @@ impl Kernel {
     /// submission batch: the call crosses the boundary alone, pays the
     /// full trap cost, and its result is returned directly instead of
     /// being pushed onto the completion queue.  Per-call label checks,
-    /// [`DispatchStats`] counters and audit-trace records are identical
+    /// [`KernelStats`] counters and audit-trace records are identical
     /// either way.
     pub fn dispatch(
         &mut self,
@@ -943,7 +883,7 @@ impl Kernel {
         self.begin_batch();
         let result = self.dispatch_one(tid, call);
         self.end_batch();
-        self.dispatch_stats_mut().record_batch(1);
+        self.stats_mut().record_batch(1);
         result
     }
 
@@ -1000,9 +940,9 @@ impl Kernel {
             done.push(Completion { user_data, kind });
         }
         self.end_batch();
-        self.dispatch_stats_mut().record_batch(done.len() as u64);
+        self.stats_mut().record_batch(done.len() as u64);
         if let Some(start) = span_start {
-            let batch_id = self.dispatch_stats().batches;
+            let batch_id = self.stats().batches;
             self.recorder().record(Span {
                 cat: "dispatch",
                 name: "batch",
@@ -1060,25 +1000,31 @@ impl Kernel {
         let mut call = call;
         let index = call.index();
         let name = call.name();
-        let span_start = self.recorder().is_enabled().then(|| self.now().as_nanos());
-        self.dispatch_stats_mut().invocations[index] += 1;
+        // A dispatch span is tagged with the call's index in `dispatch.calls`.
+        let span_start = self
+            .recorder()
+            .is_enabled()
+            .then(|| (self.now().as_nanos(), self.stats().total()));
+        self.stats_mut().invocations[index] += 1;
         self.note_thread_syscall(tid);
         let result = match self.resolve_handle_args(tid, &mut call) {
             Ok(()) => self.dispatch_inner(tid, call),
             Err(e) => Err(e),
         };
         if result.is_err() {
-            self.dispatch_stats_mut().errors[index] += 1;
+            self.stats_mut().errors[index] += 1;
         }
         let tick = self.now().as_nanos();
-        let ok = result.is_ok();
         if let Some(trace) = self.trace_mut() {
-            if trace.push(tick, tid, name, ok) {
-                self.dispatch_stats_mut().trace_dropped += 1;
-            }
+            trace.push(TraceRecord {
+                seq: trace.total_recorded(),
+                tick,
+                tid,
+                syscall: name,
+                ok: result.is_ok(),
+            });
         }
-        if let Some(start) = span_start {
-            let seq = self.next_dispatch_seq();
+        if let Some((start, seq)) = span_start {
             self.recorder().record(Span {
                 cat: "dispatch",
                 name,
@@ -1112,7 +1058,7 @@ impl Kernel {
             }
             Ok(())
         })?;
-        self.dispatch_stats_mut().handle_resolutions += resolved;
+        self.stats_mut().handle_resolutions += resolved;
         Ok(())
     }
 }
@@ -1149,7 +1095,7 @@ mod tests {
         // A failing call is counted as both an invocation and an error.
         assert!(k.trap_segment_read(tid, entry, 60, 100).is_err());
 
-        let stats = k.dispatch_stats();
+        let stats = k.stats();
         assert_eq!(stats.count("segment_create"), Some(1));
         assert_eq!(stats.count("segment_write"), Some(1));
         assert_eq!(stats.count("segment_read"), Some(2));
@@ -1177,28 +1123,34 @@ mod tests {
         let (sa, sb) = (ka.stats(), kb.stats());
         assert_eq!(sa.label_checks, sb.label_checks);
         assert_eq!(sa.objects_created, sb.objects_created);
-        assert_eq!((sa.syscalls, sb.syscalls), (0, 1));
-        assert_eq!(ka.dispatch_stats().total(), 0);
-        assert_eq!(kb.dispatch_stats().total(), 1);
+        assert_eq!((sa.total(), sb.total()), (0, 1));
     }
 
     #[test]
     fn trace_ring_buffer_is_bounded_and_ordered() {
         let (mut k, tid) = boot();
+        let _ = k.trap_self_get_label(tid);
         k.enable_syscall_trace(4);
+        let recorder = k.enable_flight_recorder(64);
         for _ in 0..6 {
             let _ = k.trap_self_get_label(tid);
         }
+        // Dispatch spans carry the call's index in `dispatch.calls`, which
+        // counts from boot, not from when tracing was enabled.
+        let span_seqs: Vec<u64> = recorder
+            .snapshot()
+            .iter()
+            .filter(|s| s.name == "self_get_label")
+            .map(|s| s.seq)
+            .collect();
+        assert_eq!(span_seqs, vec![1, 2, 3, 4, 5, 6]);
         let trace = k.syscall_trace().expect("trace enabled");
-        assert_eq!(trace.len(), 4);
+        assert_eq!(trace.iter().count(), 4);
         assert_eq!(trace.dropped(), 2);
         assert_eq!(trace.total_recorded(), 6);
-        // Evictions are mirrored into the dispatch stats so monitoring can
-        // spot silent audit loss without holding a reference to the trace.
-        assert_eq!(k.dispatch_stats().trace_dropped, 2);
-        let seqs: Vec<u64> = trace.records().map(|r| r.seq).collect();
+        let seqs: Vec<u64> = trace.iter().map(|r| r.seq).collect();
         assert_eq!(seqs, vec![2, 3, 4, 5]);
-        for r in trace.records() {
+        for r in trace.iter() {
             assert_eq!(r.syscall, "self_get_label");
             assert_eq!(r.tid, tid);
             assert!(r.ok);
@@ -1213,7 +1165,7 @@ mod tests {
         k.enable_syscall_trace(16);
         let bogus = ContainerEntry::new(k.root_container(), ObjectId::from_raw(0x1234));
         assert!(k.trap_segment_read(tid, bogus, 0, 1).is_err());
-        let rec = *k.syscall_trace().unwrap().records().next().unwrap();
+        let rec = *k.syscall_trace().unwrap().iter().next().unwrap();
         assert_eq!(rec.syscall, "segment_read");
         assert!(!rec.ok);
     }

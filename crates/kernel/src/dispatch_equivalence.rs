@@ -7,8 +7,8 @@
 //! setup script, so their object IDs, category names and labels coincide
 //! exactly.  Each case then executes one call — direct on kernel A,
 //! dispatched on kernel B — and the test compares the (typed) results, the
-//! aggregate [`SyscallStats`] (which count every label comparison), and the
-//! resulting object counts.  A coverage check guarantees no syscall variant
+//! [`KernelStats`] the `sys_*` bodies keep (which count every label
+//! comparison), and the resulting object counts.  A coverage check guarantees no syscall variant
 //! is left untested.
 
 use crate::abi::{CompletionKind, SqEntry, SqOp, SubmissionQueue};
@@ -16,8 +16,8 @@ use crate::bodies::{DeviceBody, Mapping, MappingFlags};
 use crate::dispatch::{Syscall, SyscallResult, SYSCALL_COUNT};
 use crate::kernel::RemoteCategoryName;
 use crate::object::{ContainerEntry, ObjectId, METADATA_LEN};
-use crate::syscall::{SyscallError, SyscallStats};
-use crate::Kernel;
+use crate::syscall::SyscallError;
+use crate::{Kernel, KernelStats};
 use histar_label::{Category, Label, Level};
 use histar_sim::SimClock;
 use histar_store::records::inode_key;
@@ -169,12 +169,17 @@ fn setup() -> (Kernel, Fx) {
     )
 }
 
-/// The kernel's counters without the syscall and error totals, which are
-/// dispatch counters and so see only the trapped path.
-fn body_stats(k: &Kernel) -> SyscallStats {
-    SyscallStats {
-        syscalls: 0,
-        errors: 0,
+/// The kernel's counters without those dispatch keeps (per-syscall counts,
+/// batches, handle resolutions), which see only the trapped path.
+fn body_stats(k: &Kernel) -> KernelStats {
+    let zero = KernelStats::default();
+    KernelStats {
+        invocations: zero.invocations,
+        errors: zero.errors,
+        batches: 0,
+        batch_entries: 0,
+        batch_size_hist: zero.batch_size_hist,
+        handle_resolutions: 0,
         ..k.stats()
     }
 }
@@ -688,27 +693,22 @@ fn every_syscall_dispatches_identically_to_its_direct_call() {
             "{name}: object-table evolution must be identical"
         );
         assert_eq!(
-            kb.dispatch_stats().count(name),
+            kb.stats().count(name),
             Some(1),
             "{name}: dispatch must count exactly one invocation"
-        );
-        assert_eq!(
-            kb.dispatch_stats().trace_dropped,
-            0,
-            "{name}: no audit record may be silently evicted"
         );
     }
 }
 
 /// Everything one execution of the full call sequence observed: per-call
-/// results, the aggregate kernel counters (which include every label
-/// check), the object-table size, and the audit-trace contents (tick
+/// results, the kernel counters except the batch shape (they include every
+/// label check and per-syscall count), the object-table size, and the audit-trace contents (tick
 /// excluded — batching amortizes charged time by design; everything else
 /// must be bit-identical).
 #[derive(Debug, PartialEq)]
 struct SequenceObservation {
     results: Vec<Result<SyscallResult, SyscallError>>,
-    stats: SyscallStats,
+    stats: KernelStats,
     objects: usize,
     trace: Vec<(u64, ObjectId, &'static str, bool)>,
 }
@@ -755,19 +755,25 @@ fn run_sequence_in_batches(sizes: &[usize], via_trap: bool) -> SequenceObservati
     let trace: Vec<(u64, ObjectId, &'static str, bool)> = k
         .syscall_trace()
         .expect("trace enabled")
-        .records()
+        .iter()
         .map(|r| (r.seq, r.tid, r.syscall, r.ok))
         .collect();
     // The ring was sized to hold the whole sequence: any eviction here
     // means the comparison below would silently cover a truncated trace.
     assert_eq!(
-        k.dispatch_stats().trace_dropped,
+        k.syscall_trace().expect("trace enabled").dropped(),
         0,
         "audit trace must not drop records during the equivalence sweep"
     );
     SequenceObservation {
         results,
-        stats: k.stats(),
+        // The batch shape is exactly what the splits vary.
+        stats: KernelStats {
+            batches: 0,
+            batch_entries: 0,
+            batch_size_hist: KernelStats::default().batch_size_hist,
+            ..k.stats()
+        },
         objects: k.object_count(),
         trace,
     }
@@ -776,7 +782,7 @@ fn run_sequence_in_batches(sizes: &[usize], via_trap: bool) -> SequenceObservati
 #[test]
 fn any_batch_split_is_equivalent_to_one_call_per_trap() {
     // The property the batched ABI must preserve: for the full every-variant
-    // sequence, results, label-check counts (inside `SyscallStats`), audit
+    // sequence, results, label-check counts (inside `KernelStats`), audit
     // trace and object-table evolution are identical whether the calls
     // trap one at a time or in arbitrary batch splits.
     let reference = run_sequence_in_batches(&[1], true);
@@ -871,10 +877,10 @@ fn handle_open_reuse_hits_the_reverse_index_not_a_rescan() {
         others.push(k.handle_open(fx.boot, entry(&fx, seg)).unwrap());
     }
     let e_seg = entry(&fx, fx.seg);
-    let reuses_before = k.dispatch_stats().handle_reuses;
+    let reuses_before = k.stats().handle_reuses;
     let first = k.handle_open_reuse(fx.boot, e_seg).unwrap();
     assert_eq!(
-        k.dispatch_stats().handle_reuses,
+        k.stats().handle_reuses,
         reuses_before,
         "first resolution installs, it does not reuse"
     );
@@ -883,14 +889,14 @@ fn handle_open_reuse_hits_the_reverse_index_not_a_rescan() {
     for round in 1..=10 {
         let again = k.handle_open_reuse(fx.boot, e_seg).unwrap();
         assert_eq!(again, first);
-        assert_eq!(k.dispatch_stats().handle_reuses, reuses_before + round);
+        assert_eq!(k.stats().handle_reuses, reuses_before + round);
     }
     // Closing the handle empties the index slot; the next open installs
     // fresh instead of reusing a stale one.
     assert!(k.handle_close(fx.boot, first));
     let fresh = k.handle_open_reuse(fx.boot, e_seg).unwrap();
     assert_eq!(
-        k.dispatch_stats().handle_reuses,
+        k.stats().handle_reuses,
         reuses_before + 10,
         "a closed handle must not be reused"
     );
@@ -912,8 +918,8 @@ fn handles_are_revoked_on_unref() {
         .unwrap_err();
     assert_eq!(err, SyscallError::BadHandle(h.raw()));
     // The failed call is still audited/counted like any other error.
-    assert_eq!(k.dispatch_stats().count("segment_len"), Some(1));
-    assert_eq!(k.dispatch_stats().total_errors(), 1);
+    assert_eq!(k.stats().count("segment_len"), Some(1));
+    assert_eq!(k.stats().total_errors(), 1);
 }
 
 #[test]
@@ -1139,6 +1145,10 @@ fn failing_calls_dispatch_identically_too() {
             body_stats(&kb),
             "{what}: identical kernel counters"
         );
-        assert_eq!(kb.stats().errors, 1, "{what}: the trapped failure counts");
+        assert_eq!(
+            kb.stats().total_errors(),
+            1,
+            "{what}: the trapped failure counts"
+        );
     }
 }

@@ -6,7 +6,7 @@
 //! [`Kernel::dispatch`] and the `trap_*` wrappers, which count and audit
 //! each call.  Each call performs exactly the label checks the paper
 //! specifies before touching any state, counts its label checks in
-//! [`SyscallStats`], and charges its CPU cost to the machine clock (when
+//! [`KernelStats`], and charges its CPU cost to the machine clock (when
 //! one is attached).
 
 use crate::abi::{Completion, CompletionKind, Handle, HandleTable, KERNEL_USER_DATA};
@@ -14,15 +14,15 @@ use crate::bodies::{
     AddressSpaceBody, Alert, ContainerBody, DeviceBody, GateBody, Mapping, ObjectBody, SegmentBody,
     ThreadBody, ThreadState, WAKE_ALERT, WAKE_COMPLETION,
 };
-use crate::dispatch::{DispatchStats, SyscallTrace};
+use crate::dispatch::{KernelStats, TraceRecord};
 use crate::object::{
-    truncate_descrip, ContainerEntry, ObjectHeader, ObjectId, ObjectType, METADATA_LEN,
-    OBJECT_ID_MASK, QUOTA_INFINITE,
+    ContainerEntry, ObjectHeader, ObjectId, ObjectType, METADATA_LEN, OBJECT_ID_MASK,
+    QUOTA_INFINITE,
 };
-use crate::syscall::{SyscallError, SyscallStats};
+use crate::syscall::SyscallError;
 use histar_label::category::FeistelCipher;
 use histar_label::{Category, CategoryAllocator, Label, LabelCache, Level};
-use histar_obs::{MetricSet, Recorder};
+use histar_obs::{MetricSet, Recorder, Ring};
 use histar_sim::{CostModel, OsFlavor, SimClock, SimDuration};
 use histar_store::codec::{Decoder, Encoder};
 use histar_store::records::is_persist_key;
@@ -109,7 +109,8 @@ pub struct Kernel {
     label_cache: LabelCache,
     clock: Option<SimClock>,
     cost: CostModel,
-    stats: SyscallStats,
+    /// Every kernel activity counter, dispatch's and the bodies' alike.
+    stats: KernelStats,
     /// The address space of the most recently active thread, used to decide
     /// whether a switch can use the cheap `invlpg` path.
     last_address_space: Option<ContainerEntry>,
@@ -119,19 +120,13 @@ pub struct Kernel {
     remote_bindings: BTreeMap<Category, RemoteCategoryName>,
     /// Reverse index of `remote_bindings` (global name → local category).
     remote_index: BTreeMap<RemoteCategoryName, Category>,
-    /// Per-syscall counters for calls crossing the dispatch boundary.
-    dispatch_stats: DispatchStats,
     /// The bounded audit trace of dispatched syscalls, when enabled.
-    trace: Option<SyscallTrace>,
+    trace: Option<Ring<TraceRecord>>,
     /// The flight recorder dispatched syscalls (and the scheduler/store,
     /// which hold clones of this handle) emit spans into.  Disabled by
     /// default — recording charges no simulated time either way, so the
     /// only cost of enabling it is host memory for the ring.
     recorder: Recorder,
-    /// Monotonic sequence number tagging dispatch spans, so a trace viewer
-    /// can correlate a span with its audit-trace record even after ring
-    /// eviction.
-    dispatch_seq: u64,
     /// Dispatched-syscall counts per calling thread, for the per-activity
     /// metrics filesystem.  Entries die with their thread.
     per_thread_syscalls: BTreeMap<ObjectId, u64>,
@@ -190,14 +185,12 @@ impl Kernel {
             label_cache: LabelCache::new(),
             clock,
             cost: CostModel::for_flavor(OsFlavor::HiStar),
-            stats: SyscallStats::default(),
+            stats: KernelStats::default(),
             last_address_space: None,
             remote_bindings: BTreeMap::new(),
             remote_index: BTreeMap::new(),
-            dispatch_stats: DispatchStats::default(),
             trace: None,
             recorder: Recorder::disabled(),
-            dispatch_seq: 0,
             per_thread_syscalls: BTreeMap::new(),
             handles: BTreeMap::new(),
             handle_holders: BTreeMap::new(),
@@ -235,33 +228,25 @@ impl Kernel {
         self.root
     }
 
-    /// Kernel activity counters.  The syscall and error totals are the
-    /// dispatch counters: every syscall enters through [`Kernel::dispatch`].
-    pub fn stats(&self) -> SyscallStats {
-        SyscallStats {
-            syscalls: self.dispatch_stats.total(),
-            errors: self.dispatch_stats.total_errors(),
-            ..self.stats
-        }
+    /// Kernel activity counters: per-syscall invocations and errors,
+    /// submission batches, handle traffic, label checks, objects, gates,
+    /// faults and context switches.
+    pub fn stats(&self) -> KernelStats {
+        self.stats
     }
 
-    /// Per-syscall counters for the trapped (dispatched) call stream.
-    pub fn dispatch_stats(&self) -> DispatchStats {
-        self.dispatch_stats
+    pub(crate) fn stats_mut(&mut self) -> &mut KernelStats {
+        &mut self.stats
     }
 
-    pub(crate) fn dispatch_stats_mut(&mut self) -> &mut DispatchStats {
-        &mut self.dispatch_stats
-    }
-
-    pub(crate) fn trace_mut(&mut self) -> Option<&mut SyscallTrace> {
+    pub(crate) fn trace_mut(&mut self) -> Option<&mut Ring<TraceRecord>> {
         self.trace.as_mut()
     }
 
     /// Starts recording dispatched syscalls into a ring buffer holding at
     /// most `capacity` records (replacing any previous trace).
     pub fn enable_syscall_trace(&mut self, capacity: usize) {
-        self.trace = Some(SyscallTrace::new(capacity));
+        self.trace = Some(Ring::new(capacity));
     }
 
     /// Stops tracing and discards the buffer.
@@ -270,7 +255,7 @@ impl Kernel {
     }
 
     /// The current audit trace, if tracing is enabled.
-    pub fn syscall_trace(&self) -> Option<&SyscallTrace> {
+    pub fn syscall_trace(&self) -> Option<&Ring<TraceRecord>> {
         self.trace.as_ref()
     }
 
@@ -305,12 +290,6 @@ impl Kernel {
         self.install_recorder(Recorder::disabled());
     }
 
-    pub(crate) fn next_dispatch_seq(&mut self) -> u64 {
-        let seq = self.dispatch_seq;
-        self.dispatch_seq += 1;
-        seq
-    }
-
     pub(crate) fn note_thread_syscall(&mut self, tid: ObjectId) {
         *self.per_thread_syscalls.entry(tid).or_insert(0) += 1;
     }
@@ -336,13 +315,12 @@ impl Kernel {
     }
 
     /// One snapshot of every counter the kernel and its attached subsystems
-    /// maintain: syscall + dispatch stats, the label-comparison cache, and
+    /// maintain: the kernel stats, the label-comparison cache, and
     /// (when a store is attached) store/WAL/disk counters.  Collecting a
     /// snapshot charges no simulated time.
     pub fn metrics(&self) -> MetricSet {
         let mut set = MetricSet::new();
-        set.collect(&self.stats());
-        set.collect(&self.dispatch_stats);
+        set.collect(&self.stats);
         set.collect(&self.label_cache.stats());
         set.gauge("kernel.objects", self.object_count() as u64);
         set.gauge("kernel.threads_with_handles", self.handles.len() as u64);
@@ -380,16 +358,6 @@ impl Kernel {
     /// Number of live objects (including the root container).
     pub fn object_count(&self) -> usize {
         self.objects.len()
-    }
-
-    /// The label-comparison cache statistics (for the ablation benchmark).
-    pub fn label_cache_stats(&self) -> histar_label::cache::CacheStats {
-        self.label_cache.stats()
-    }
-
-    /// Disables the immutable-label comparison cache (ablation benchmark).
-    pub fn clear_label_cache(&mut self) {
-        self.label_cache.clear_comparisons();
     }
 
     // ----- internal helpers ---------------------------------------------
@@ -621,7 +589,7 @@ impl Kernel {
         entry: ContainerEntry,
     ) -> Result<Handle, SyscallError> {
         // Handle installation is a ring operation, not a syscall: it is
-        // not counted in `SyscallStats.syscalls`, but the reachability
+        // not counted in `dispatch.calls`, but the reachability
         // check below performs (and counts) a real label check.
         let (header, body) = self.thread(tid)?;
         if body.state == ThreadState::Halted {
@@ -630,7 +598,7 @@ impl Kernel {
         let tl = header.label.clone();
         self.charge_boundary();
         self.check_entry(&tl, entry)?;
-        self.dispatch_stats.handle_opens += 1;
+        self.stats.handle_opens += 1;
         let handle = self.handles.entry(tid).or_default().install(entry);
         self.holders_note_install(entry.object, tid);
         Ok(handle)
@@ -677,7 +645,7 @@ impl Kernel {
         entry: ContainerEntry,
     ) -> Result<Handle, SyscallError> {
         if let Some(h) = self.handles.get(&tid).and_then(|t| t.find(entry)) {
-            self.dispatch_stats.handle_reuses += 1;
+            self.stats.handle_reuses += 1;
             return Ok(h);
         }
         self.handle_open(tid, entry)
@@ -688,7 +656,7 @@ impl Kernel {
     // flowcheck: exempt(drops an entry from the calling thread's own handle table; revoking your own capability observes nothing)
     pub fn handle_close(&mut self, tid: ObjectId, handle: Handle) -> bool {
         self.charge_boundary();
-        self.dispatch_stats.handle_closes += 1;
+        self.stats.handle_closes += 1;
         match self.handles.get_mut(&tid).and_then(|t| t.revoke(handle)) {
             Some(entry) => {
                 self.holders_release(entry.object, tid, 1);
@@ -723,7 +691,7 @@ impl Kernel {
                 .handles
                 .get_mut(&tid)
                 .map_or(0, |t| t.revoke_entry(entry));
-            self.dispatch_stats.handle_revocations += revoked as u64;
+            self.stats.handle_revocations += revoked as u64;
             // The thread may still hold handles for the same object
             // through a different link, so release only what was revoked.
             self.holders_release(entry.object, tid, revoked as u64);
@@ -738,7 +706,7 @@ impl Kernel {
         };
         for tid in holders.keys() {
             if let Some(table) = self.handles.get_mut(tid) {
-                self.dispatch_stats.handle_revocations += table.revoke_object(object) as u64;
+                self.stats.handle_revocations += table.revoke_object(object) as u64;
             }
         }
     }
@@ -802,11 +770,6 @@ impl Kernel {
                 );
             }
         }
-    }
-
-    /// Number of threads currently watching `object` (test hook).
-    pub fn watcher_count(&self, object: ObjectId) -> usize {
-        self.watchers.get(&object).map_or(0, |l| l.len())
     }
 
     /// Whether `tid` has unreaped completions (scheduler wake condition: a
@@ -1163,9 +1126,6 @@ impl Kernel {
         } else {
             false
         };
-        if cached {
-            self.stats.label_cache_hits += 1;
-        }
         let c = self.cost.label_check(a.len() + b.len(), cached);
         self.charge(c);
     }
@@ -2698,11 +2658,6 @@ impl Kernel {
     pub fn allocator_counters(&self) -> (u64, u64) {
         (self.id_counter, self.categories.allocated())
     }
-
-    /// Truncates a descriptive string the way object creation would.
-    pub fn normalize_descrip(s: &str) -> String {
-        truncate_descrip(s)
-    }
 }
 
 #[cfg(test)]
@@ -3270,7 +3225,7 @@ mod tests {
         let _ = k.trap_self_get_label(tid);
         let after = k.stats();
         let delta = after.since(&before);
-        assert_eq!(delta.syscalls, 2);
+        assert_eq!(delta.total(), 2);
         assert_eq!(delta.objects_created, 1);
         assert!(delta.label_checks >= 1);
     }

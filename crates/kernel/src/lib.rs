@@ -20,7 +20,7 @@
 //!
 //! * [`object`] — object IDs, headers, flags, container entries.
 //! * [`bodies`] — the per-type payloads of the six object types.
-//! * [`syscall`] — the error type and syscall statistics.
+//! * [`syscall`] — the syscall error type.
 //! * [`kernel`] — the [`Kernel`] itself: object table plus the syscall
 //!   implementations with their label checks.
 //! * [`serialize`] — binary encoding of kernel objects for the single-level
@@ -32,7 +32,8 @@
 //!   value per entry point, decoded and executed only by
 //!   [`Kernel::dispatch`](kernel::Kernel::dispatch) /
 //!   [`Kernel::dispatch_batch`](kernel::Kernel::dispatch_batch), with
-//!   per-syscall stats and a bounded audit trace.
+//!   the kernel's one stats struct ([`KernelStats`]) and a bounded audit
+//!   trace.
 //! * [`abi`] — the batched submission/completion lanes over dispatch
 //!   (io_uring-style: one trap cost per batch) and per-thread capability
 //!   [`abi::Handle`]s installed via reachability-checked resolution.
@@ -59,14 +60,14 @@ pub use abi::{
     Completion, CompletionKind, Handle, HandleTable, SqEntry, SqOp, SubmissionQueue,
     KERNEL_USER_DATA,
 };
-pub use dispatch::{DispatchStats, Syscall, SyscallResult, SyscallTrace, TraceRecord};
+pub use dispatch::{KernelStats, Syscall, SyscallResult, TraceRecord};
 pub use kernel::Kernel;
 pub use machine::{Machine, MachineConfig};
 pub use object::{ContainerEntry, ObjectFlags, ObjectId, ObjectType};
 pub use sched::{
     RunLimit, SchedConfig, SchedContext, SchedStats, ScheduleReport, Scheduler, Step, StopReason,
 };
-pub use syscall::{SyscallError, SyscallStats};
+pub use syscall::SyscallError;
 
 /// Convenience result alias for kernel operations.
 pub type Result<T> = core::result::Result<T, SyscallError>;

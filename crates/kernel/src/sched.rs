@@ -346,11 +346,6 @@ impl<Ctx: SchedContext> Scheduler<Ctx> {
         self.config.quantum
     }
 
-    /// Current depth of each shard's run queue, in shard order.
-    pub fn shard_queue_depths(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.queue.len()).collect()
-    }
-
     /// Admits the pending batch: seeded-shuffle, then hash each thread to
     /// its shard.  The shuffle is the scheduler's only use of randomness
     /// and is fully determined by the seed and the spawn order; the shard

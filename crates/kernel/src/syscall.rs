@@ -1,10 +1,10 @@
-//! System-call errors and statistics.
+//! System-call errors.
 //!
 //! HiStar's kernel interface is deliberately narrow; every call either
-//! succeeds or fails with one of the errors below.  The kernel also counts
-//! system calls, label checks and page faults so the benchmark harness can
-//! report the structural numbers the paper quotes (e.g. 317 system calls per
-//! fork/exec versus 127 per spawn).
+//! succeeds or fails with one of the errors below.  What the kernel counts
+//! (system calls, label checks, page faults — the structural numbers the
+//! paper quotes, e.g. 317 system calls per fork/exec versus 127 per spawn)
+//! lives in [`KernelStats`](crate::dispatch::KernelStats).
 
 use crate::object::{ObjectId, ObjectType};
 use histar_label::LabelError;
@@ -177,69 +177,10 @@ impl core::fmt::Display for SyscallError {
 
 impl std::error::Error for SyscallError {}
 
-/// Counters describing kernel activity, used by the benchmark harness.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SyscallStats {
-    /// Total system calls executed (including failed ones), as counted
-    /// by dispatch.
-    pub syscalls: u64,
-    /// System calls that returned an error, as counted by dispatch.
-    pub errors: u64,
-    /// Label comparisons performed.
-    pub label_checks: u64,
-    /// Label comparisons answered by the immutable-label cache.
-    pub label_cache_hits: u64,
-    /// Page faults handled.
-    pub page_faults: u64,
-    /// Objects created.
-    pub objects_created: u64,
-    /// Objects deallocated.
-    pub objects_deallocated: u64,
-    /// Gate invocations.
-    pub gate_invocations: u64,
-    /// Context switches (address-space changes).
-    pub context_switches: u64,
-    /// Context switches that used the cheap `invlpg` path.
-    pub invlpg_switches: u64,
-}
-
-impl histar_obs::MetricSource for SyscallStats {
-    fn export(&self, set: &mut histar_obs::MetricSet) {
-        set.counter("kernel.syscalls", self.syscalls);
-        set.counter("kernel.errors", self.errors);
-        set.counter("kernel.label_checks", self.label_checks);
-        set.counter("kernel.label_cache_hits", self.label_cache_hits);
-        set.counter("kernel.page_faults", self.page_faults);
-        set.counter("kernel.objects_created", self.objects_created);
-        set.counter("kernel.objects_deallocated", self.objects_deallocated);
-        set.counter("kernel.gate_invocations", self.gate_invocations);
-        set.counter("kernel.context_switches", self.context_switches);
-        set.counter("kernel.invlpg_switches", self.invlpg_switches);
-    }
-}
-
-impl SyscallStats {
-    /// Difference between two snapshots (`self - earlier`), for measuring a
-    /// region of execution.
-    pub fn since(&self, earlier: &SyscallStats) -> SyscallStats {
-        SyscallStats {
-            syscalls: self.syscalls - earlier.syscalls,
-            errors: self.errors - earlier.errors,
-            label_checks: self.label_checks - earlier.label_checks,
-            label_cache_hits: self.label_cache_hits - earlier.label_cache_hits,
-            page_faults: self.page_faults - earlier.page_faults,
-            objects_created: self.objects_created - earlier.objects_created,
-            objects_deallocated: self.objects_deallocated - earlier.objects_deallocated,
-            gate_invocations: self.gate_invocations - earlier.gate_invocations,
-            context_switches: self.context_switches - earlier.context_switches,
-            invlpg_switches: self.invlpg_switches - earlier.invlpg_switches,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dispatch::KernelStats;
 
     #[test]
     fn display_is_informative() {
@@ -268,19 +209,19 @@ mod tests {
 
     #[test]
     fn stats_difference() {
-        let a = SyscallStats {
-            syscalls: 10,
+        let mut a = KernelStats {
             label_checks: 5,
             ..Default::default()
         };
-        let b = SyscallStats {
-            syscalls: 25,
+        a.invocations[0] = 10;
+        let mut b = KernelStats {
             label_checks: 11,
             objects_created: 2,
             ..Default::default()
         };
+        b.invocations[0] = 25;
         let d = b.since(&a);
-        assert_eq!(d.syscalls, 15);
+        assert_eq!(d.total(), 15);
         assert_eq!(d.label_checks, 6);
         assert_eq!(d.objects_created, 2);
     }

@@ -84,14 +84,14 @@ fn audit_traces_of_identical_runs_are_identical() {
         .kernel()
         .syscall_trace()
         .unwrap()
-        .records()
+        .iter()
         .map(|r| (r.seq, r.tid, r.syscall, r.ok))
         .collect();
     let tb: Vec<_> = b
         .kernel()
         .syscall_trace()
         .unwrap()
-        .records()
+        .iter()
         .map(|r| (r.seq, r.tid, r.syscall, r.ok))
         .collect();
     assert!(!ta.is_empty());

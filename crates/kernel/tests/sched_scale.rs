@@ -62,7 +62,7 @@ fn traced_run(config: SchedConfig) -> Vec<TraceRecord> {
     m.kernel()
         .syscall_trace()
         .unwrap()
-        .records()
+        .iter()
         .copied()
         .collect()
 }

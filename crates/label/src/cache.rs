@@ -139,15 +139,6 @@ impl LabelCache {
             interned: self.by_id.len() as u64,
         }
     }
-
-    /// Drops all memoized comparisons (but keeps interned labels).
-    ///
-    /// Used by the ablation benchmark to measure uncached comparison cost.
-    pub fn clear_comparisons(&mut self) {
-        self.cmp.clear();
-        self.hits = 0;
-        self.misses = 0;
-    }
 }
 
 #[cfg(test)]
@@ -191,8 +182,6 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.hits, 2);
-        cache.clear_comparisons();
-        assert_eq!(cache.stats().hits, 0);
     }
 
     #[test]

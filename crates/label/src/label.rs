@@ -144,15 +144,6 @@ impl Label {
         self.leq_mapped(other, |l| l.as_low(), |l| l.as_low())
     }
 
-    /// `self^J ⊑ other`, i.e. `⋆` in `self` treated as `J` (high).
-    ///
-    /// This form never holds unless `other` also has high entries, so the
-    /// useful direction is [`Label::leq_high_rhs`]; it is provided for
-    /// completeness and for expressing the paper's formulas literally.
-    pub fn leq_high_lhs(&self, other: &Label) -> bool {
-        self.leq_mapped(other, |l| l.as_high(), |l| l.as_low())
-    }
-
     /// `self ⊑ other^J`, i.e. `⋆` in `other` treated as `J` (high).
     ///
     /// This is the form used by the kernel's observation check

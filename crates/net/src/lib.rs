@@ -784,7 +784,7 @@ mod tests {
     #[test]
     fn device_side_batching_transmits_and_drains_in_one_trap() {
         let (mut env, _init, netd) = setup();
-        let batches_before = env.machine().kernel().dispatch_stats().batches;
+        let batches_before = env.machine().kernel().stats().batches;
 
         // Three frames out in one submission batch.
         netd.transmit_frames(
@@ -813,7 +813,7 @@ mod tests {
         );
 
         // Each burst crossed the boundary once (plus the empty drain).
-        let batches = env.machine().kernel().dispatch_stats().batches - batches_before;
+        let batches = env.machine().kernel().stats().batches - batches_before;
         assert_eq!(batches, 3, "transmit burst, drain, empty drain");
     }
 

@@ -1,6 +1,6 @@
 //! Kernel-wide observability that is itself information-flow safe.
 //!
-//! Three pieces, deliberately free of dependencies so every other crate can
+//! Four pieces, deliberately free of dependencies so every other crate can
 //! use them:
 //!
 //! * [`Histogram`] — one shared fixed-bucket histogram type replacing the
@@ -11,7 +11,10 @@
 //!   subsystem's `*Stats` struct implements [`MetricSource`] and exports
 //!   its counters under stable dotted names; one call on the kernel
 //!   snapshots the whole machine into a [`MetricSet`].
-//! * [`Recorder`] / [`Span`] — the flight recorder: a bounded ring buffer
+//! * [`Ring`] — the one bounded ring buffer: evicts and counts its oldest
+//!   entry when full.  The flight recorder keeps its spans in one, and the
+//!   kernel keeps its syscall audit trace in another.
+//! * [`Recorder`] / [`Span`] — the flight recorder: a bounded [`Ring`]
 //!   of causally-tagged spans (tick start/end, thread, sequence number)
 //!   emitted from the dispatch choke point, scheduler quanta, WAL and
 //!   recovery phases, and exporter RPCs.  Dumps as chrome-trace JSON for
@@ -33,8 +36,10 @@
 pub mod hist;
 pub mod hook;
 pub mod metrics;
+pub mod ring;
 pub mod span;
 
 pub use hist::{Histogram, BATCH_SIZE_EDGES};
 pub use metrics::{Metric, MetricKind, MetricSet, MetricSource};
+pub use ring::Ring;
 pub use span::{Recorder, Span};

@@ -3,9 +3,9 @@
 //! A [`Span`] names one region of simulated time — a dispatched syscall, a
 //! submission batch, a scheduler quantum, a WAL append, a recovery phase,
 //! an exporter RPC leg — tagged with the thread it ran on and a sequence
-//! number tying it back to the audit trace or batch counter.  The
+//! number tying it back to the dispatch or batch counter.  The
 //! [`Recorder`] is a cheaply cloneable handle (the kernel, the store and
-//! the exporter all hold one) over a shared ring; a disabled recorder's
+//! the exporter all hold one) over a shared [`Ring`]; a disabled recorder's
 //! `record` is a no-op, which is what keeps tracing's overhead inside the
 //! CI gate's 3% budget.
 //!
@@ -13,8 +13,8 @@
 //! offline profiling, and aggregate into per-phase totals — the profile
 //! the recovery work in `torn_wal` reports.
 
+use crate::ring::Ring;
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::rc::Rc;
 
 /// One recorded region of simulated time.
@@ -32,8 +32,10 @@ pub struct Span {
     /// The thread the work ran on (raw object ID; 0 when the work is not
     /// attributable to one thread, e.g. recovery).
     pub tid: u64,
-    /// Causal tag: the audit-trace sequence number for syscalls, the batch
-    /// id for batches, the quantum count for the scheduler, 0 otherwise.
+    /// Causal tag: for a syscall, the call's index in the kernel's
+    /// `dispatch.calls` counter (0-based, counted from boot); the batch
+    /// count for batches; the quantum count for the scheduler; 0
+    /// otherwise.
     pub seq: u64,
 }
 
@@ -41,26 +43,6 @@ impl Span {
     /// The span's duration in simulated nanoseconds.
     pub fn duration(&self) -> u64 {
         self.end.saturating_sub(self.start)
-    }
-}
-
-/// The ring buffer behind a [`Recorder`].
-#[derive(Debug)]
-struct FlightRing {
-    capacity: usize,
-    dropped: u64,
-    total: u64,
-    ring: VecDeque<Span>,
-}
-
-impl FlightRing {
-    fn push(&mut self, span: Span) {
-        if self.ring.len() == self.capacity {
-            self.ring.pop_front();
-            self.dropped += 1;
-        }
-        self.ring.push_back(span);
-        self.total += 1;
     }
 }
 
@@ -73,7 +55,7 @@ impl FlightRing {
 /// unconditionally.
 #[derive(Clone, Debug, Default)]
 pub struct Recorder {
-    inner: Option<Rc<RefCell<FlightRing>>>,
+    inner: Option<Rc<RefCell<Ring<Span>>>>,
 }
 
 impl Recorder {
@@ -86,12 +68,7 @@ impl Recorder {
     /// older spans are evicted (and counted) when it fills.
     pub fn with_capacity(capacity: usize) -> Recorder {
         Recorder {
-            inner: Some(Rc::new(RefCell::new(FlightRing {
-                capacity: capacity.max(1),
-                dropped: 0,
-                total: 0,
-                ring: VecDeque::with_capacity(capacity.clamp(1, 4096)),
-            }))),
+            inner: Some(Rc::new(RefCell::new(Ring::new(capacity)))),
         }
     }
 
@@ -110,19 +87,21 @@ impl Recorder {
     /// The buffered spans, oldest first (empty when disabled).
     pub fn snapshot(&self) -> Vec<Span> {
         match &self.inner {
-            Some(inner) => inner.borrow().ring.iter().copied().collect(),
+            Some(inner) => inner.borrow().iter().copied().collect(),
             None => Vec::new(),
         }
     }
 
     /// Spans evicted because the ring was full.
     pub fn dropped(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| i.borrow().dropped)
+        self.inner.as_ref().map_or(0, |i| i.borrow().dropped())
     }
 
     /// Total spans ever recorded.
     pub fn total_recorded(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| i.borrow().total)
+        self.inner
+            .as_ref()
+            .map_or(0, |i| i.borrow().total_recorded())
     }
 
     /// The last `n` spans, oldest first — what the crash hook prints.

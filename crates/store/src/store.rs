@@ -20,15 +20,13 @@ use std::collections::{BTreeMap, BTreeSet};
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SyncPolicy {
     /// Updates stay in memory until an explicit checkpoint (or the periodic
-    /// snapshot).  This is the "async" row of the LFS benchmarks.
+    /// snapshot).  This is the "async" row of the LFS benchmarks, and with
+    /// one [`SingleLevelStore::checkpoint`] per batch the paper's "group
+    /// sync" mode.
     Async,
     /// Every synchronous operation appends to the write-ahead log, which is
     /// applied in batches.  This is HiStar's per-file `fsync` behaviour.
     PerOperation,
-    /// Nothing is written until [`SingleLevelStore::checkpoint`] is called
-    /// once for the whole batch — the paper's "group sync" mode, which is
-    /// only possible because of the single-level store.
-    GroupSync,
 }
 
 /// How recovery rebuilds state from the checkpoint and the log.
@@ -617,15 +615,20 @@ impl SingleLevelStore {
     /// without checkpointing the entire system state (the LFS large-file
     /// random-write path, §7.1).
     ///
+    /// `pages` are `BLOCK_SIZE` pages of a region that starts `base` bytes
+    /// into the object's data: a file's page 0 starts after the encoded
+    /// object header that precedes its bytes.
+    ///
     /// The object's size must not have changed since it was last written to
     /// its home location; otherwise the caller must fall back to
     /// [`SingleLevelStore::sync_object`] or a checkpoint.
-    pub fn sync_pages_in_place(&mut self, id: u64, pages: &[u64]) -> Result<usize, StoreError> {
-        let data = self
-            .cache
-            .get(&id)
-            .cloned()
-            .ok_or(StoreError::NoSuchObject(id))?;
+    pub fn sync_pages_in_place(
+        &mut self,
+        id: u64,
+        base: u64,
+        pages: &[u64],
+    ) -> Result<usize, StoreError> {
+        let data = self.cache.get(&id).ok_or(StoreError::NoSuchObject(id))?;
         let off = self
             .object_loc
             .get(id)
@@ -641,13 +644,15 @@ impl SingleLevelStore {
         }
         let mut written = 0;
         for &page in pages {
-            let start = (page * BLOCK_SIZE) as usize;
-            if start >= data.len() {
+            let start = base + page * BLOCK_SIZE;
+            if start >= body_len {
                 continue;
             }
-            let end = core::cmp::min(start + BLOCK_SIZE as usize, data.len());
-            self.disk
-                .write(off + RECORD_HEADER + start as u64, &data[start..end]);
+            let end = (start + BLOCK_SIZE).min(body_len);
+            self.disk.write(
+                off + RECORD_HEADER + start,
+                &data[start as usize..end as usize],
+            );
             written += 1;
         }
         self.disk.flush();
@@ -1165,7 +1170,7 @@ mod tests {
 
     #[test]
     fn group_sync_writes_nothing_until_checkpoint() {
-        let mut s = store(SyncPolicy::GroupSync);
+        let mut s = store(SyncPolicy::Async);
         for i in 0..100u64 {
             s.put(i, vec![7u8; 1024]);
         }
@@ -1199,7 +1204,7 @@ mod tests {
         modified[5000] = 0xbb;
         s.put(7, modified.clone());
         let writes_before = s.disk().stats().writes;
-        assert_eq!(s.sync_pages_in_place(7, &[0, 1]).unwrap(), 2);
+        assert_eq!(s.sync_pages_in_place(7, 0, &[0, 1]).unwrap(), 2);
         assert!(s.disk().stats().writes > writes_before);
         assert_eq!(s.stats().inplace_flushes, 1);
 
@@ -1211,14 +1216,35 @@ mod tests {
 
         // An object with no home location is rejected.
         s.put(8, vec![0u8; 10]);
-        assert!(s.sync_pages_in_place(8, &[0]).is_err());
+        assert!(s.sync_pages_in_place(8, 0, &[0]).is_err());
 
         // A resized object is rejected.
         s.put(7, vec![2u8; 100]);
         assert!(matches!(
-            s.sync_pages_in_place(7, &[0]),
+            s.sync_pages_in_place(7, 0, &[0]),
             Err(StoreError::InvalidOperation(_))
         ));
+    }
+
+    #[test]
+    fn in_place_page_sync_offsets_pages_by_base() {
+        // A 37-byte header, then two and a half pages of file data.
+        let base = 37;
+        let page = BLOCK_SIZE as usize;
+        let mut s = store(SyncPolicy::Async);
+        let old = vec![1u8; base + 2 * page + page / 2];
+        s.put(7, old.clone());
+        s.checkpoint();
+
+        // Rewrite file page 1 up to 10 bytes before its end: the tail
+        // lies past the object's own page 2 boundary.
+        let mut new = old;
+        new[base + page + 100..base + 2 * page - 10].fill(0xaa);
+        s.put(7, new.clone());
+        assert_eq!(s.sync_pages_in_place(7, base as u64, &[1]).unwrap(), 1);
+
+        s.evict_clean();
+        assert_eq!(s.get(7).unwrap(), new, "every byte of the page lands");
     }
 
     #[test]

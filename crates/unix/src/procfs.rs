@@ -86,13 +86,6 @@ impl ProcFs {
         self.procs.insert(info.pid, info);
     }
 
-    /// Applies a closure to one process's mirrored state, if present.
-    pub fn update_with(&mut self, pid: Pid, f: impl FnOnce(&mut ProcInfo)) {
-        if let Some(info) = self.procs.get_mut(&pid) {
-            f(info);
-        }
-    }
-
     /// Removes a reaped process from the namespace.
     pub fn remove(&mut self, pid: Pid) {
         self.procs.remove(&pid);

@@ -1,7 +1,8 @@
 //! The VFS layer: a real mount table over pluggable [`Filesystem`]s.
 //!
-//! Path resolution happens in exactly one place — [`Vfs::normalize`] +
-//! [`Vfs::resolve`] — so trailing slashes, repeated `/`, `.`/`..`
+//! Path resolution happens in exactly one place — [`Vfs::normalize`] plus
+//! the one directory walk behind [`Vfs::resolve_dir`] and
+//! [`Vfs::resolve_parent`] — so trailing slashes, repeated `/`, `.`/`..`
 //! components (including `..` at the root and `..` walking back out of a
 //! mount point) behave identically for every operation.  Normalization is
 //! lexical, as in the paper's library: `..` is resolved against the path

@@ -21,6 +21,7 @@ use crate::env::UnixError;
 use crate::fdtable::{FdState, FD_POSITION_OFFSET, FD_STATE_LEN};
 use crate::fs::FileStat;
 use histar_kernel::abi::Handle;
+use histar_kernel::bodies::ObjectBody;
 use histar_kernel::dispatch::Syscall;
 use histar_kernel::object::{ContainerEntry, ObjectId};
 use histar_kernel::serialize::encode_object;
@@ -634,15 +635,20 @@ pub fn init_socket_segment(ctx: &mut VfsCtx, entry: ContainerEntry) -> Result<()
 
 /// Serializes one kernel object into the single-level store and syncs it
 /// (the `fsync` primitive shared by path-level and descriptor-level
-/// sync).
+/// sync).  `pages` are pages of a segment's bytes, which the encoding
+/// places last, after the object header.
 pub fn sync_object_to_store(machine: &mut Machine, id: ObjectId, pages: Option<&[u64]>) {
     if let Some(obj) = machine.kernel().raw_object(id) {
         let bytes = encode_object(obj);
+        let base = match &obj.body {
+            ObjectBody::Segment(seg) => (bytes.len() - seg.bytes.len()) as u64,
+            _ => 0,
+        };
         let store = machine.store_mut();
         store.put(id.raw(), bytes);
         match pages {
             Some(pages) => {
-                if store.sync_pages_in_place(id.raw(), pages).is_err() {
+                if store.sync_pages_in_place(id.raw(), base, pages).is_err() {
                     store.sync_object(id.raw());
                 }
             }

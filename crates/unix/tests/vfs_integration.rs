@@ -698,7 +698,7 @@ fn metrics_entries_are_label_filtered() {
         UnixError::Kernel(SyscallError::CannotObserve(_))
     ));
     let global = String::from_utf8(env.read_file_as(init, "/metrics/kernel").unwrap()).unwrap();
-    assert!(global.contains("kernel.syscalls\t"), "got: {global}");
+    assert!(global.contains("kernel.label_checks\t"), "got: {global}");
     assert!(global.contains("spans.recorded\t"), "got: {global}");
 
     // The store file carries the WAL group-commit counters — same gate:
@@ -981,5 +981,42 @@ fn scheduler_counters_are_served_at_metrics_sched() {
         assert!(text.contains(line), "missing {line} in: {text}");
     }
     // Only sched.* counters live here; the kernel file keeps its own.
-    assert!(!text.contains("kernel.syscalls"));
+    assert!(!text.contains("kernel.label_checks"));
+}
+
+/// `fsync_pages` on a segfs file makes every byte of the synced pages
+/// durable, including the tail of a range that ends mid-page: the file's
+/// pages are flushed where its bytes sit in the stored object, after the
+/// encoded object header.
+#[test]
+fn fsync_pages_on_segfs_survives_a_crash_byte_for_byte() {
+    use histar_kernel::bodies::ObjectBody;
+    const PAGE: usize = 4096;
+    let mut env = UnixEnv::boot();
+    let init = env.init_pid();
+    let mut shadow: Vec<u8> = (0..3 * PAGE + 1000).map(|i| (i % 251) as u8).collect();
+    let fd = env
+        .open(init, "/big", OpenFlags::read_write_create())
+        .unwrap();
+    env.write(init, fd, &shadow).unwrap();
+    env.sync_all();
+
+    // Overwrite a range that starts mid-page and ends 10 bytes short of a
+    // page end, then flush just its pages.
+    let (off, len) = (PAGE + 100, 2 * PAGE - 110);
+    let data = vec![0xee; len];
+    env.lseek(init, fd, off as u64).unwrap();
+    env.write(init, fd, &data).unwrap();
+    shadow[off..off + len].copy_from_slice(&data);
+    let pages: Vec<u64> = (off / PAGE..(off + len).div_ceil(PAGE))
+        .map(|p| p as u64)
+        .collect();
+    env.fsync_pages(init, fd, &pages).unwrap();
+    let file = env.fstat(init, fd).unwrap().object;
+
+    let machine = env.into_machine().crash_and_recover().unwrap();
+    match machine.kernel().raw_object(file).map(|o| &o.body) {
+        Some(ObjectBody::Segment(seg)) => assert!(seg.bytes == shadow, "synced bytes lost"),
+        other => panic!("recovered file is not a segment: {other:?}"),
+    }
 }

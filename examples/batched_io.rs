@@ -97,7 +97,7 @@ fn main() {
     assert!(matches!(stale, Err(SyscallError::BadHandle(_))));
     println!("stale handle refused: {:?}", stale.unwrap_err());
 
-    let stats = kernel.dispatch_stats();
+    let stats = kernel.stats();
     println!(
         "batches: {}, entries: {}, mean batch size: {:.2}",
         stats.batches,
@@ -105,7 +105,7 @@ fn main() {
         stats.mean_batch_size()
     );
     println!("audit trace records one entry per call, seq continuous across batches:");
-    for r in machine.kernel().syscall_trace().unwrap().records() {
+    for r in machine.kernel().syscall_trace().unwrap().iter() {
         println!("  seq {:>2}  {:<16} ok={}", r.seq, r.syscall, r.ok);
     }
 }

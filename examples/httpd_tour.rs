@@ -63,8 +63,8 @@ fn main() {
     );
     println!("completion wakeups : {}", report.sched.completion_wakeups);
     println!("context switches   : {}", report.sched.context_switches);
-    println!("syscalls dispatched: {}", report.kernel.syscalls);
-    println!("label checks       : {}", report.kernel.label_checks);
+    println!("syscalls dispatched: {}", report.dispatch.total());
+    println!("label checks       : {}", report.dispatch.label_checks);
     println!();
 
     // The trusted surface: of every process in the run, only the
@@ -94,7 +94,7 @@ fn main() {
         kernel
             .syscall_trace()
             .expect("tracing enabled")
-            .records()
+            .iter()
             .count()
     );
     println!();

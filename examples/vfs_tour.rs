@@ -3,7 +3,6 @@
 //!
 //! Run with `cargo run --release --example vfs_tour`.
 
-use histar::kernel::DispatchStats;
 use histar::label::Level;
 use histar::unix::fs::OpenFlags;
 use histar::unix::UnixEnv;
@@ -86,7 +85,7 @@ fn main() {
     // --- the batched hot path ---------------------------------------------
     env.write_file_as(init, "/big", &vec![7u8; 64 * 1024], None)
         .unwrap();
-    let before: DispatchStats = env.machine().kernel().dispatch_stats();
+    let before = env.machine().kernel().stats();
     let fd = env.open(init, "/big", OpenFlags::read_only()).unwrap();
     let mut total = 0;
     loop {
@@ -97,7 +96,7 @@ fn main() {
         total += chunk.len();
     }
     env.close(init, fd).unwrap();
-    let io = env.machine().kernel().dispatch_stats().since(&before);
+    let io = env.machine().kernel().stats().since(&before);
     println!(
         "read {total} bytes: {} boundary crossings for {} calls (mean batch size {:.2})",
         io.batches,

@@ -462,7 +462,7 @@ fn compromised_worker_cannot_leak_alice_files_to_bobs_connection() {
         .kernel()
         .syscall_trace()
         .expect("tracing enabled")
-        .records()
+        .iter()
         .copied()
         .collect();
     assert!(
