@@ -885,8 +885,7 @@ impl Kernel {
         key: u64,
         rlabel: &Label,
     ) -> Result<(), SyscallError> {
-        self.count_label_check(rlabel, tl, true);
-        if rlabel.leq_high_rhs(tl) {
+        if self.count_label_check(rlabel, tl, true) {
             Ok(())
         } else {
             Err(SyscallError::CannotObserveRecord(key))
@@ -900,8 +899,7 @@ impl Kernel {
         key: u64,
         rlabel: &Label,
     ) -> Result<(), SyscallError> {
-        self.count_label_check(rlabel, tl, true);
-        if tl.leq(rlabel) && rlabel.leq_high_rhs(tl) {
+        if self.count_label_check(rlabel, tl, true) && tl.leq(rlabel) {
             Ok(())
         } else {
             Err(SyscallError::CannotModifyRecord(key))
@@ -1114,20 +1112,23 @@ impl Kernel {
         Ok(rlabel)
     }
 
-    fn count_label_check(&mut self, a: &Label, b: &Label, immutable: bool) {
+    /// Charges a check of `a` against thread label `b` and returns `a ⊑ b^J`,
+    /// from the §4 cache when `a` is immutable (a thread's label is not).
+    fn count_label_check(&mut self, a: &Label, b: &Label, immutable: bool) -> bool {
         self.stats.label_checks += 1;
-        let cached = if immutable {
-            // Memoize comparisons between immutable labels (§4).
+        let (observe, cached) = if immutable {
             let ia = self.label_cache.intern(a);
             let ib = self.label_cache.intern(b);
             let before = self.label_cache.stats().hits;
-            let _ = self.label_cache.leq_high_rhs(ia, ib);
-            self.label_cache.stats().hits > before
+            let v = self.label_cache.leq_high_rhs(ia, ib);
+            debug_assert_eq!(v, a.leq_high_rhs(b), "cache disagrees with a direct check");
+            (v, self.label_cache.stats().hits > before)
         } else {
-            false
+            (a.leq_high_rhs(b), false)
         };
         let c = self.cost.label_check(a.len() + b.len(), cached);
         self.charge(c);
+        observe
     }
 
     /// "No read up": may a thread labelled `tl` observe object `o`?
@@ -1139,8 +1140,7 @@ impl Kernel {
                 o.header.object_type != ObjectType::Thread,
             )
         };
-        self.count_label_check(&olabel, tl, immutable);
-        if olabel.leq_high_rhs(tl) {
+        if self.count_label_check(&olabel, tl, immutable) {
             Ok(())
         } else {
             Err(SyscallError::CannotObserve(oid))
@@ -1160,8 +1160,8 @@ impl Kernel {
         if immutable_flag {
             return Err(SyscallError::Immutable(oid));
         }
-        self.count_label_check(&olabel, tl, otype != ObjectType::Thread);
-        if tl.leq(&olabel) && olabel.leq_high_rhs(tl) {
+        let observe = self.count_label_check(&olabel, tl, otype != ObjectType::Thread);
+        if observe && tl.leq(&olabel) {
             Ok(())
         } else {
             Err(SyscallError::CannotModify(oid))
@@ -2773,6 +2773,41 @@ mod tests {
         let tainted = Label::builder().set(c, Level::L2).build();
         k.sys_self_set_label(other, tainted).unwrap();
         assert!(k.sys_segment_read(other, e, 0, 1).is_err());
+    }
+
+    #[test]
+    fn cached_check_follows_the_thread_label() {
+        // The §4 cache memoizes "segment label ⊑ thread label^J" by label
+        // structure.  The same thread checking the same segment under a
+        // new label must get the new label's answer, in both directions.
+        let (mut k, tid) = boot();
+        let root = k.root_container();
+        let c = k.sys_create_category(tid).unwrap();
+        let seg = k
+            .sys_segment_create(
+                tid,
+                root,
+                Label::builder().set(c, Level::L3).build(),
+                10,
+                "secret".into(),
+            )
+            .unwrap();
+        let e = entry(&k, seg);
+        // Owner: allowed, and a repeat is answered from the cache.
+        assert!(k.sys_segment_read(tid, e, 0, 1).is_ok());
+        let hits = k.label_cache.stats().hits;
+        assert!(k.sys_segment_read(tid, e, 0, 1).is_ok());
+        assert!(k.label_cache.stats().hits > hits);
+        // After giving up ownership: refused.
+        k.sys_self_set_label(tid, Label::unrestricted()).unwrap();
+        assert_eq!(
+            k.sys_segment_read(tid, e, 0, 1),
+            Err(SyscallError::CannotObserve(seg))
+        );
+        // Tainted to c3 (its clearance is still 3 in c): allowed again.
+        k.sys_self_set_label(tid, Label::builder().set(c, Level::L3).build())
+            .unwrap();
+        assert!(k.sys_segment_read(tid, e, 0, 1).is_ok());
     }
 
     #[test]

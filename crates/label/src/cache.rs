@@ -13,10 +13,12 @@
 
 use crate::label::Label;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// An opaque token identifying an interned, immutable label.
+///
+/// Tokens are numbered per cache, in interning order, and mean something
+/// only to the cache that issued them.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct LabelId(u64);
 
@@ -64,14 +66,14 @@ impl histar_obs::MetricSource for CacheStats {
 /// reproduction).
 #[derive(Debug, Default)]
 pub struct LabelCache {
-    by_structure: HashMap<Label, LabelId>,
-    by_id: HashMap<LabelId, Arc<Label>>,
+    by_structure: HashMap<Arc<Label>, LabelId>,
+    /// The interned labels, indexed by token; each shares its allocation
+    /// with its `by_structure` key.
+    by_id: Vec<Arc<Label>>,
     cmp: HashMap<(LabelId, LabelId, CmpKind), bool>,
     hits: u64,
     misses: u64,
 }
-
-static NEXT_LABEL_ID: AtomicU64 = AtomicU64::new(1);
 
 impl LabelCache {
     /// Creates an empty cache.
@@ -86,15 +88,16 @@ impl LabelCache {
         if let Some(&id) = self.by_structure.get(label) {
             return id;
         }
-        let id = LabelId(NEXT_LABEL_ID.fetch_add(1, Ordering::Relaxed));
-        self.by_structure.insert(label.clone(), id);
-        self.by_id.insert(id, Arc::new(label.clone()));
+        let id = LabelId(self.by_id.len() as u64);
+        let shared = Arc::new(label.clone());
+        self.by_structure.insert(Arc::clone(&shared), id);
+        self.by_id.push(shared);
         id
     }
 
-    /// Returns the label for a previously interned token.
+    /// Returns the label for a token this cache issued.
     pub fn get(&self, id: LabelId) -> Option<Arc<Label>> {
-        self.by_id.get(&id).cloned()
+        self.by_id.get(id.0 as usize).cloned()
     }
 
     fn lookup_or(
@@ -108,9 +111,12 @@ impl LabelCache {
             self.hits += 1;
             return v;
         }
-        let la = self.by_id.get(&a).expect("label id not interned").clone();
-        let lb = self.by_id.get(&b).expect("label id not interned").clone();
-        let v = compute(&la, &lb);
+        let label = |id: LabelId| {
+            self.by_id
+                .get(id.0 as usize)
+                .expect("label id not interned")
+        };
+        let v = compute(label(a), label(b));
         self.cmp.insert((a, b, kind), v);
         self.misses += 1;
         v
@@ -182,6 +188,37 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.hits, 2);
+    }
+
+    #[test]
+    fn tokens_are_numbered_per_cache() {
+        // Two caches in one process (two kernels) issue the same tokens for
+        // the same interning order, whatever the other has interned.
+        let mut first = LabelCache::new();
+        let mut second = LabelCache::new();
+        let labels = [
+            Label::unrestricted(),
+            Label::default_clearance(),
+            Label::builder().set(c(1), Level::L3).build(),
+        ];
+        let a: Vec<LabelId> = labels.iter().map(|l| first.intern(l)).collect();
+        let b: Vec<LabelId> = labels.iter().rev().map(|l| second.intern(l)).collect();
+        assert_eq!(a.iter().map(|id| id.raw()).collect::<Vec<_>>(), [0, 1, 2]);
+        assert_eq!(b.iter().map(|id| id.raw()).collect::<Vec<_>>(), [0, 1, 2]);
+        assert_eq!(*first.get(a[2]).unwrap(), labels[2]);
+        assert_eq!(*second.get(b[0]).unwrap(), labels[2]);
+    }
+
+    #[test]
+    fn an_interned_label_is_stored_once() {
+        let mut cache = LabelCache::new();
+        let label = Label::builder().set(c(7), Level::L0).build();
+        let id = cache.intern(&label);
+        // One reference from the structure index, one from the token
+        // index, one held here: both indexes share a single copy.
+        assert_eq!(Arc::strong_count(&cache.get(id).unwrap()), 3);
+        // The copy shares its entries with the label that was interned.
+        assert!(cache.get(id).unwrap().shares_entries(&label));
     }
 
     #[test]

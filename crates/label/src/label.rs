@@ -2,36 +2,92 @@
 //!
 //! A label maps every category to a level; all but a small number of
 //! categories map to a *default* level (usually `1`).  We therefore store a
-//! default level plus a sorted vector of `(category, level)` exceptions.
+//! default level plus a sorted list of `(category, level)` exceptions.
 //! The paper's notation `{w0, r3, 1}` corresponds to
 //! `Label::builder().set(w, L0).set(r, L3).default_level(L1).build()`.
+//!
+//! The exceptions live in shared, immutable storage, so cloning a label is
+//! a reference-count bump, and a structural hash is computed once when the
+//! label is built.  Every lattice operation is one linear merge over the
+//! operands' sorted exception lists.
 
 use crate::category::Category;
 use crate::error::LabelError;
 use crate::level::{CheckLevel, Level};
 use core::fmt;
+use core::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// A label: a total function from [`Category`] to [`Level`].
 ///
 /// Labels are immutable once built (matching the kernel, where object labels
 /// are fixed at creation; only thread labels change, and they change by
 /// replacement).  All lattice operations return new labels.
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(Clone)]
 pub struct Label {
     /// Default level for categories not listed in `entries`.
     default: Level,
+    /// Structural hash of `default` and `entries`, fixed at construction.
+    hash: u64,
     /// Non-default entries, sorted by category, with no entry equal to the
     /// default level (a normal form that makes `Eq`/`Hash` structural).
-    entries: Vec<(Category, Level)>,
+    entries: Arc<[(Category, Level)]>,
+}
+
+/// Equality is structural: the stored hashes decide most unequal pairs,
+/// and labels that share their entries need no entry-by-entry comparison.
+impl PartialEq for Label {
+    fn eq(&self, other: &Label) -> bool {
+        self.hash == other.hash
+            && self.default == other.default
+            && (self.shares_entries(other) || self.entries == other.entries)
+    }
+}
+
+impl Eq for Label {}
+
+/// Writes only the stored structural hash, so hashing costs the same for
+/// every label size.
+impl Hash for Label {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// A fixed-key hash of a label's normal form (no per-process random key,
+/// so the value repeats across runs).  Each entry is hashed as the 64-bit
+/// word the kernel packs it into.
+fn structural_hash(default: Level, entries: &[(Category, Level)]) -> u64 {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+    entries
+        .iter()
+        .fold(u64::from(default.encode()).wrapping_mul(K), |h, &(c, l)| {
+            (h.rotate_left(5) ^ c.pack_with_level(l.encode())).wrapping_mul(K)
+        })
 }
 
 impl Label {
-    /// Creates a label with the given default level and no exceptions.
-    pub fn new(default: Level) -> Label {
+    /// Wraps entries already in normal form: sorted by category, with no
+    /// duplicate category and no entry at the default level.
+    fn from_normal(default: Level, entries: Vec<(Category, Level)>) -> Label {
+        debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
+        debug_assert!(entries.iter().all(|&(_, l)| l != default));
         Label {
             default,
-            entries: Vec::new(),
+            hash: structural_hash(default, &entries),
+            // Entry-less labels are the commonest; `Arc::default` lets them
+            // share the standard library's empty slice.
+            entries: if entries.is_empty() {
+                Arc::default()
+            } else {
+                entries.into()
+            },
         }
+    }
+
+    /// Creates a label with the given default level and no exceptions.
+    pub fn new(default: Level) -> Label {
+        Label::from_normal(default, Vec::new())
     }
 
     /// The conventional unrestricted label `{1}`.
@@ -83,24 +139,27 @@ impl Label {
 
     /// Returns a copy of this label with `category` set to `level`.
     pub fn with(&self, category: Category, level: Level) -> Label {
-        let mut b = LabelBuilder {
+        LabelBuilder {
             default: self.default,
-            entries: self.entries.clone(),
-        };
-        b = b.set(category, level);
-        b.build()
+            entries: self.entries.to_vec(),
+        }
+        .set(category, level)
+        .build()
     }
 
     /// Returns a copy of this label with `category` restored to the default.
     pub fn without(&self, category: Category) -> Label {
-        let mut entries = self.entries.clone();
+        let mut entries = self.entries.to_vec();
         if let Ok(idx) = entries.binary_search_by_key(&category, |e| e.0) {
             entries.remove(idx);
         }
-        Label {
-            default: self.default,
-            entries,
-        }
+        Label::from_normal(self.default, entries)
+    }
+
+    /// Returns true if both labels share one entry storage, as a label and
+    /// its clones do.
+    pub fn shares_entries(&self, other: &Label) -> bool {
+        Arc::ptr_eq(&self.entries, &other.entries)
     }
 
     /// The categories this label owns (maps to `⋆`).
@@ -126,16 +185,6 @@ impl Label {
     }
 
     // ----- Lattice operations (paper §2.2) -----------------------------
-
-    /// Iterates over every category mentioned by either label, merged.
-    fn merged_categories<'a>(&'a self, other: &'a Label) -> impl Iterator<Item = Category> + 'a {
-        MergedCategories {
-            a: &self.entries,
-            b: &other.entries,
-            ia: 0,
-            ib: 0,
-        }
-    }
 
     /// The `⊑` ("can flow to") relation: `self ⊑ other` iff for every
     /// category `c`, `self(c) ≤ other(c)` under the order
@@ -168,15 +217,8 @@ impl Label {
     ) -> bool {
         // Default-vs-default must also satisfy the order because the set of
         // categories is effectively unbounded.
-        if map_l(self.default) > map_r(other.default) {
-            return false;
-        }
-        for c in self.merged_categories(other) {
-            if map_l(self.level(c)) > map_r(other.level(c)) {
-                return false;
-            }
-        }
-        true
+        map_l(self.default) <= map_r(other.default)
+            && merge([self, other]).all(|(_, [a, b])| map_l(a) <= map_r(b))
     }
 
     /// Least upper bound `self ⊔ other`: pointwise maximum level, with `⋆`
@@ -191,17 +233,15 @@ impl Label {
         self.combine(other, |a, b| if a.as_low() <= b.as_low() { a } else { b })
     }
 
+    /// The label whose level in every category (and whose default) is
+    /// `pick(self(c), other(c))`.
     fn combine(&self, other: &Label, pick: impl Fn(Level, Level) -> Level) -> Label {
         let default = pick(self.default, other.default);
-        let mut b = LabelBuilder {
-            default,
-            entries: Vec::new(),
-        };
-        let cats: Vec<Category> = self.merged_categories(other).collect();
-        for c in cats {
-            b = b.set(c, pick(self.level(c), other.level(c)));
-        }
-        b.build()
+        let entries = merge([self, other])
+            .map(|(c, [a, b])| (c, pick(a, b)))
+            .filter(|&(_, l)| l != default)
+            .collect();
+        Label::from_normal(default, entries)
     }
 
     /// The lowest label a thread labelled `self` must raise itself to in
@@ -210,25 +250,13 @@ impl Label {
     ///
     /// Ownership (`⋆`) in `self` is preserved in the result.
     pub fn raise_for_observe(&self, observed: &Label) -> Label {
-        // Compute pointwise max where self's ⋆ counts as J (high), then map
-        // J back down to ⋆.
-        let default = {
-            let a = self.default.as_high();
-            let b = observed.default.as_low();
-            core::cmp::max(a, b).lower_ownership().to_level()
-        };
-        let mut builder = LabelBuilder {
-            default,
-            entries: Vec::new(),
-        };
-        let cats: Vec<Category> = self.merged_categories(observed).collect();
-        for c in cats {
-            let a = self.level(c).as_high();
-            let b = observed.level(c).as_low();
-            let lvl = core::cmp::max(a, b).lower_ownership().to_level();
-            builder = builder.set(c, lvl);
-        }
-        builder.build()
+        // Pointwise max where self's ⋆ counts as J (high), then J maps back
+        // down to ⋆.
+        self.combine(observed, |a, b| {
+            core::cmp::max(a.as_high(), b.as_low())
+                .lower_ownership()
+                .to_level()
+        })
     }
 
     /// The ownership-preserving union `(self^J ⊔ other^J)^⋆`: pointwise
@@ -239,21 +267,11 @@ impl Label {
     /// entering a gate labelled `other` (§3.5): the thread keeps its own
     /// taint, gains the gate's taint, and the union of their ownership.
     pub fn ownership_union(&self, other: &Label) -> Label {
-        let pick = |a: Level, b: Level| {
+        self.combine(other, |a, b| {
             core::cmp::max(a.as_high(), b.as_high())
                 .lower_ownership()
                 .to_level()
-        };
-        let default = pick(self.default, other.default);
-        let mut builder = LabelBuilder {
-            default,
-            entries: Vec::new(),
-        };
-        let cats: Vec<Category> = self.merged_categories(other).collect();
-        for c in cats {
-            builder = builder.set(c, pick(self.level(c), other.level(c)));
-        }
-        builder.build()
+        })
     }
 
     // ----- Kernel access checks (paper §2.2) ----------------------------
@@ -307,25 +325,11 @@ impl Label {
         // upper bound: clearance ⊔ self^J, i.e. new ⊑ bound where self's ⋆
         // counts as J.  Equivalently: for each category, new(c) must be ≤
         // max(clearance(c), self(c)-as-high).
-        let ok = {
-            let bound_ok = |c: Category| {
-                let n = new.level(c).as_low();
-                let cl = clearance.level(c).as_low();
-                let own = self.level(c).as_high();
-                n <= core::cmp::max(cl, own)
-            };
-            let default_ok = {
-                let n = new.default.as_low();
-                let cl = clearance.default.as_low();
-                let own = self.default.as_high();
-                n <= core::cmp::max(cl, own)
-            };
-            default_ok
-                && new
-                    .merged_categories(clearance)
-                    .chain(new.merged_categories(self))
-                    .all(bound_ok)
+        let bound_ok = |n: Level, cl: Level, own: Level| {
+            n.as_low() <= core::cmp::max(cl.as_low(), own.as_high())
         };
+        let ok = bound_ok(new.default, clearance.default, self.default)
+            && merge([new, clearance, self]).all(|(_, [n, cl, own])| bound_ok(n, cl, own));
         if ok {
             Ok(())
         } else {
@@ -358,19 +362,15 @@ impl Label {
     /// numeric levels unchanged.  `label.drop_ownership(Level::L1)` is what
     /// a gate grants to a caller that only *verifies* categories.
     pub fn drop_ownership(&self, replacement: Level) -> Label {
-        let default = if self.default.is_star() {
-            replacement
-        } else {
-            self.default
-        };
-        let mut b = LabelBuilder {
-            default,
-            entries: Vec::new(),
-        };
-        for (c, l) in self.entries() {
-            b = b.set(c, if l.is_star() { replacement } else { l });
-        }
-        b.build()
+        let swap = |l: Level| if l.is_star() { replacement } else { l };
+        let default = swap(self.default);
+        let entries = self
+            .entries
+            .iter()
+            .map(|&(c, l)| (c, swap(l)))
+            .filter(|&(_, l)| l != default)
+            .collect();
+        Label::from_normal(default, entries)
     }
 
     /// Parses the paper's brace notation, e.g. `"{br *, v3, 1}"` given a
@@ -443,43 +443,37 @@ fn parse_level(s: &str) -> Option<Level> {
     }
 }
 
-struct MergedCategories<'a> {
-    a: &'a [(Category, Level)],
-    b: &'a [(Category, Level)],
-    ia: usize,
-    ib: usize,
+/// One linear pass over the union of `labels`' categories, in category
+/// order: yields each category with its level under every label (the
+/// label's default where it has no entry).
+fn merge<const N: usize>(labels: [&Label; N]) -> Merge<'_, N> {
+    Merge {
+        labels,
+        next: [0; N],
+    }
 }
 
-impl Iterator for MergedCategories<'_> {
-    type Item = Category;
+struct Merge<'a, const N: usize> {
+    labels: [&'a Label; N],
+    /// Per label, the index of its first entry not yet yielded.
+    next: [usize; N],
+}
 
-    fn next(&mut self) -> Option<Category> {
-        let ca = self.a.get(self.ia).map(|e| e.0);
-        let cb = self.b.get(self.ib).map(|e| e.0);
-        match (ca, cb) {
-            (None, None) => None,
-            (Some(c), None) => {
-                self.ia += 1;
-                Some(c)
+impl<const N: usize> Iterator for Merge<'_, N> {
+    type Item = (Category, [Level; N]);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let heads: [Option<&(Category, Level)>; N] =
+            core::array::from_fn(|i| self.labels[i].entries.get(self.next[i]));
+        let c = heads.iter().flatten().map(|e| e.0).min()?;
+        let levels = core::array::from_fn(|i| match heads[i] {
+            Some(&(hc, l)) if hc == c => {
+                self.next[i] += 1;
+                l
             }
-            (None, Some(c)) => {
-                self.ib += 1;
-                Some(c)
-            }
-            (Some(x), Some(y)) => {
-                if x < y {
-                    self.ia += 1;
-                    Some(x)
-                } else if y < x {
-                    self.ib += 1;
-                    Some(y)
-                } else {
-                    self.ia += 1;
-                    self.ib += 1;
-                    Some(x)
-                }
-            }
-        }
+            _ => self.labels[i].default,
+        });
+        Some((c, levels))
     }
 }
 
@@ -492,7 +486,7 @@ impl fmt::Debug for Label {
 impl fmt::Display for Label {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;
-        for (c, l) in &self.entries {
+        for (c, l) in self.entries.iter() {
             write!(f, "{c} {l}, ")?;
         }
         write!(f, "{}}}", self.default)
@@ -553,12 +547,9 @@ impl LabelBuilder {
     /// Finishes building, normalizing away entries equal to the default.
     pub fn build(self) -> Label {
         let default = self.default;
-        let entries: Vec<(Category, Level)> = self
-            .entries
-            .into_iter()
-            .filter(|(_, l)| *l != default)
-            .collect();
-        Label { default, entries }
+        let mut entries = self.entries;
+        entries.retain(|&(_, l)| l != default);
+        Label::from_normal(default, entries)
     }
 }
 

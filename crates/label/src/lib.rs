@@ -17,7 +17,8 @@
 //!   `⋆`, `0`, `1`, `2`, `3`.  [`CheckLevel`] additionally models the
 //!   `J` ("HiStar") level used only during label checks.
 //! * [`Label`] — a total function from categories to levels, represented as
-//!   a default level plus a sorted list of exceptions.
+//!   a default level plus a shared, sorted list of exceptions, with a
+//!   structural hash fixed at construction.
 //! * [`LabelCache`] — memoizes comparisons between immutable labels, the
 //!   §4 kernel optimization.
 //!
